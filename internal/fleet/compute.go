@@ -255,26 +255,7 @@ func classRowDelays(c *Class, pathScale float64) []float64 {
 // than this. Returns nil (no error) when no compute tier sits on the
 // class's offload path, and an error for an unknown class or topology.
 func (sc Scenario) RowDelaySeconds(class string) ([]float64, error) {
-	// Normalize a private copy: the receiver is a value, but its slices
-	// are shared with the caller, so re-back anything Normalize writes.
-	sc.Classes = append([]Class(nil), sc.Classes...)
-	sc.Gateways = append([]Gateway(nil), sc.Gateways...)
-	sc.Tiers = append([]Tier(nil), sc.Tiers...)
-	for i := range sc.Tiers {
-		if cp := sc.Tiers[i].Compute; cp != nil {
-			cc := *cp
-			sc.Tiers[i].Compute = &cc
-		}
-		if d := sc.Tiers[i].Downlink; d != nil {
-			dd := *d
-			sc.Tiers[i].Downlink = &dd
-		}
-	}
-	if sc.Dynamics != nil {
-		dd := *sc.Dynamics
-		dd.Events = append([]FleetEvent(nil), dd.Events...)
-		sc.Dynamics = &dd
-	}
+	sc = sc.clone()
 	sc.Normalize()
 	nodes, _, err := sc.topology()
 	if err != nil {
@@ -311,104 +292,44 @@ func newComputeServer(cc *ComputeConfig) Link {
 	return &fifoCompute{cores: cc.Cores}
 }
 
+// poolDone forwards the frame tier ti's core pool finished at t: it
+// records the frame's queueing wait (sojourn minus service, clamped
+// against fair-share float drift), then the frame starts transmission on
+// the tier's uplink at the same instant.
+func (e *engine) poolDone(t float64, ti, id int) {
+	tr := &e.transfers[id]
+	w := t - tr.compAt - e.compPlan[ti][e.cams[tr.cam].class]*tr.bytes
+	if w < 0 {
+		w = 0
+	}
+	e.compWait[ti].Add(w)
+	e.links.start(ti, t, id, tr.bytes)
+}
+
 // --- FIFO core pool ---
-
-// busyItem is one frame in service on a fifoCompute core.
-type busyItem struct {
-	finish float64
-	seq    int64 // admission order, for deterministic tie-breaking
-	id     int
-	work   float64
-}
-
-// busyHeap is a specialized binary min-heap ordered by (finish, seq) —
-// the unique admission seq makes the order total, so equal finish times
-// pop in admission order, deterministically.
-type busyHeap []busyItem
-
-func (h busyHeap) less(i, j int) bool {
-	if h[i].finish != h[j].finish {
-		return h[i].finish < h[j].finish
-	}
-	return h[i].seq < h[j].seq
-}
-
-func (h *busyHeap) push(it busyItem) {
-	s := append(*h, it)
-	j := len(s) - 1
-	for j > 0 {
-		i := (j - 1) / 2
-		if !s.less(j, i) {
-			break
-		}
-		s[i], s[j] = s[j], s[i]
-		j = i
-	}
-	*h = s
-}
-
-func (h *busyHeap) pop() busyItem {
-	s := *h
-	n := len(s) - 1
-	s[0], s[n] = s[n], s[0]
-	i := 0
-	for {
-		j := 2*i + 1
-		if j >= n {
-			break
-		}
-		if j2 := j + 1; j2 < n && s.less(j2, j) {
-			j = j2
-		}
-		if !s.less(j, i) {
-			break
-		}
-		s[i], s[j] = s[j], s[i]
-		i = j
-	}
-	it := s[n]
-	*h = s[:n]
-	return it
-}
 
 // fifoCompute is a multi-server FIFO queue: up to cores frames are in
 // service concurrently, each on its own core at full rate; the rest wait
 // in arrival order and take the core freed by the earliest completion.
-// The waiting queue is the same power-of-two ring as fifoUplink.
+// The waiting queue is the same ring as fifoUplink's. In-service frames
+// sit in a psHeap keyed by wall-clock finish time — at one core each,
+// service level and wall time advance together — with admission order
+// breaking ties, deterministically.
 type fifoCompute struct {
-	cores   int
-	busy    busyHeap
-	ring    []fifoItem // waiting frames, arrival order
-	head, n int
-	seq     int64
-	served  float64 // core-seconds of completed service
+	fifoRing // waiting frames, arrival order
+	cores    int
+	busy     psHeap
+	seq      int64
+	served   float64 // core-seconds of completed service
 }
 
 func (s *fifoCompute) Name() string { return ContentionFIFO }
 
-func (s *fifoCompute) push(it fifoItem) {
-	if s.n == len(s.ring) {
-		grown := make([]fifoItem, max(4, 2*len(s.ring)))
-		mask := len(s.ring) - 1
-		for i := 0; i < s.n; i++ {
-			grown[i] = s.ring[(s.head+i)&mask]
-		}
-		s.ring, s.head = grown, 0
-	}
-	s.ring[(s.head+s.n)&(len(s.ring)-1)] = it
-	s.n++
-}
-
-func (s *fifoCompute) pop() fifoItem {
-	it := s.ring[s.head]
-	s.head = (s.head + 1) & (len(s.ring) - 1)
-	s.n--
-	return it
-}
-
 func (s *fifoCompute) Start(now float64, id int, work float64) {
+	// In this pool a psItem's vfinish is a wall-clock finish time and its
+	// bytes are core-seconds of work.
 	if len(s.busy) < s.cores {
-		s.busy.push(busyItem{finish: now + work, seq: s.seq, id: id, work: work})
+		s.busy.push(psItem{vfinish: now + work, seq: s.seq, id: id, bytes: work})
 		s.seq++
 		return
 	}
@@ -419,19 +340,19 @@ func (s *fifoCompute) NextFinish() (float64, bool) {
 	if len(s.busy) == 0 {
 		return 0, false
 	}
-	return s.busy[0].finish, true
+	return s.busy[0].vfinish, true
 }
 
 func (s *fifoCompute) Finish() int {
-	it := s.busy.pop()
-	s.served += it.work
+	it := s.busy.pop() // vfinish is wall-clock time, bytes core-seconds
+	s.served += it.bytes
 	if s.n > 0 && len(s.busy) < s.cores {
 		// The freed core immediately takes the longest-waiting frame. The
 		// cores check only bites after a dynamics shrink: frames already
 		// in service run to completion, and the pool promotes nothing
 		// until the busy population fits the new size.
 		next := s.pop()
-		s.busy.push(busyItem{finish: it.finish + next.bytes, seq: s.seq, id: next.id, work: next.bytes})
+		s.busy.push(psItem{vfinish: it.vfinish + next.bytes, seq: s.seq, id: next.id, bytes: next.bytes})
 		s.seq++
 	}
 	return it.id
@@ -447,7 +368,7 @@ func (s *fifoCompute) setCores(now float64, cores int) {
 	s.cores = cores
 	for len(s.busy) < s.cores && s.n > 0 {
 		next := s.pop()
-		s.busy.push(busyItem{finish: now + next.bytes, seq: s.seq, id: next.id, work: next.bytes})
+		s.busy.push(psItem{vfinish: now + next.bytes, seq: s.seq, id: next.id, bytes: next.bytes})
 		s.seq++
 	}
 }

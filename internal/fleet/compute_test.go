@@ -3,6 +3,7 @@ package fleet
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"testing"
 )
@@ -367,5 +368,49 @@ func TestComputeAddsLatencyDifferential(t *testing.T) {
 	}
 	if resO.TierNamed("gw-a").Compute != nil {
 		t.Fatal("stripped scenario still reports ComputeStats")
+	}
+}
+
+// TestRowDelaySecondsAndRunLeaveCallerScenario pins that neither
+// RowDelaySeconds nor Run writes Normalize defaults into the caller's
+// scenario: every section Normalize fills — global, federated, tier
+// downlinks and compute, dynamics entries — is left zero here, and the
+// caller's value must still equal a deep copy taken before each call.
+func TestRowDelaySecondsAndRunLeaveCallerScenario(t *testing.T) {
+	budget, err := ComputeDemoScenario(1, GlobalModeBudget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	budget.Global.EpochSec, budget.Global.MoveFraction = 0, 0
+	for i := range budget.Tiers {
+		if cc := budget.Tiers[i].Compute; cc != nil {
+			cc.Discipline = ""
+		}
+	}
+	federated := FederatedDemoScenario(1)
+	federated.Federated.Model.BytesPerWeight, federated.Federated.Model.Compress = 0, 0
+	for i := range federated.Tiers {
+		federated.Tiers[i].Downlink.Contention = ""
+	}
+	dynamic := DynamicsDemoScenario(1)
+	for i := range dynamic.Dynamics.Events {
+		if k := dynamic.Dynamics.Events[i].Kind; k == DynCameraJoin || k == DynCameraLeave {
+			dynamic.Dynamics.Events[i].Count = 0
+		}
+	}
+	for _, sc := range []Scenario{budget, federated, dynamic} {
+		want := deepCopyScenario(sc)
+		if _, err := sc.RowDelaySeconds(sc.Classes[0].Name); err != nil {
+			t.Fatalf("%s: %v", sc.Name, err)
+		}
+		if !reflect.DeepEqual(sc, want) {
+			t.Fatalf("%s: RowDelaySeconds changed the caller's scenario", sc.Name)
+		}
+		if _, err := Run(sc); err != nil {
+			t.Fatalf("%s: %v", sc.Name, err)
+		}
+		if !reflect.DeepEqual(sc, want) {
+			t.Fatalf("%s: Run changed the caller's scenario", sc.Name)
+		}
 	}
 }

@@ -420,3 +420,119 @@ func (dyn *dynamics) downtimeAt(ti int, t float64) float64 {
 	}
 	return dt
 }
+
+// fire executes schedule entry i at time t, then re-arms a recurring
+// churn entry from its own seeded stream.
+func (e *engine) fire(t float64, i int) {
+	dyn := e.dyn
+	fe := &dyn.events[i]
+	switch fe.Kind {
+	case DynCameraJoin:
+		ci := dyn.class[i]
+		for k := 0; k < fe.Count; k++ {
+			e.spawnCamera(ci, t)
+			e.res.Classes[ci].Cameras++
+			e.res.Classes[ci].Joined++
+			dyn.stats.Joined++
+		}
+	case DynCameraLeave:
+		ci := dyn.class[i]
+		for k := 0; k < fe.Count && len(e.classCams[ci]) > 0; k++ {
+			// The leaver is drawn from the entry's own stream (swap-remove
+			// keeps the pick O(1)); its in-flight frames still complete, it
+			// just captures nothing further.
+			members := e.classCams[ci]
+			n := len(members)
+			pick := dyn.rngs[i].Intn(n)
+			camIdx := members[pick]
+			members[pick] = members[n-1]
+			e.classCams[ci] = members[:n-1]
+			e.cams[camIdx].departed = true
+			e.res.Classes[ci].Cameras--
+			e.res.Classes[ci].Left++
+			dyn.stats.Left++
+		}
+	case DynLinkDegrade:
+		ti := dyn.tier[i]
+		dyn.rescale(t, ti, fe.Factor)
+		e.links.setCapacity(ti, t, dyn.baseCap[ti]*fe.Factor)
+	case DynLinkRestore:
+		ti := dyn.tier[i]
+		dyn.rescale(t, ti, 1)
+		e.links.setCapacity(ti, t, dyn.baseCap[ti])
+	case DynTierOutage:
+		ti := dyn.tier[i]
+		dyn.down[ti] = true
+		dyn.downAt[ti] = t
+		// In-flight transfers through the dead tier — its uplink and its
+		// core pool — are lost, in completion order then waiting order,
+		// with no served credit.
+		e.drainOutage(ti)
+		if li := e.compLink[ti]; li >= 0 {
+			e.drainOutage(li)
+		}
+		if fb := dyn.fall[i]; fb >= 0 {
+			for ci := range e.sc.Classes {
+				if e.firstHop[ci] == ti {
+					e.rehome(ci, fb)
+				}
+			}
+		}
+	case DynTierRecover:
+		ti := dyn.tier[i]
+		dyn.down[ti] = false
+		if d := t - dyn.downAt[ti]; d > 0 {
+			dyn.downtime[ti] += d
+		}
+		for ci := range e.sc.Classes {
+			if dyn.home[ci] == ti && e.firstHop[ci] != ti {
+				e.rehome(ci, ti)
+			}
+		}
+	case DynFPSProfile:
+		dyn.fpsMul[dyn.class[i]] = fe.Multiplier
+	case DynComputeScale:
+		e.links.setCores(e.compLink[dyn.tier[i]], t, fe.Cores)
+	}
+	if fe.EverySec > 0 {
+		if nt := t + dyn.rngs[i].ExpFloat64()*fe.EverySec; nt < e.sc.Duration {
+			e.push(event{t: nt, kind: evDynamics, tr: i})
+		}
+	}
+}
+
+// rehome moves class ci's first hop to tier ti and reprices its rows
+// (routeClass). Each class controller aliases its inner rows, so it is
+// repointed explicitly.
+func (e *engine) rehome(ci, ti int) {
+	e.routeClass(ci, ti)
+	if ctl := e.ctls[ci]; ctl != nil {
+		ctl.rowJ = e.rowJ[ci]
+		if e.rowDelay != nil {
+			ctl.rowDelay = e.rowDelay[ci]
+		}
+	}
+	moved := int64(len(e.classCams[ci]))
+	e.dyn.stats.Rehomed += moved
+	e.res.Classes[ci].Rehomed += moved
+}
+
+// drainOutage empties link li, every transfer in it lost to an outage
+// at the link's owner tier.
+func (e *engine) drainOutage(li int) {
+	for _, id := range e.links.drain(li) {
+		e.dropOutage(e.owner[li], id)
+	}
+}
+
+// drainStalled ends a run whose every in-flight transfer is parked on a
+// zero-capacity link nothing will ever restore: the schedule is spent
+// and no event remains. The transfers are drained as outage losses —
+// accounted, never silently lost — so the event loop terminates.
+func (e *engine) drainStalled() {
+	for li, l := range e.links.links {
+		if l.InFlight() > 0 {
+			e.drainOutage(li)
+		}
+	}
+}

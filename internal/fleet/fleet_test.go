@@ -86,7 +86,7 @@ func TestUplinkSingleAndSharedService(t *testing.T) {
 	// models; two admitted together take 1 s and 2 s under FIFO, and both
 	// 2 s under fair share.
 	for _, model := range []string{ContentionFIFO, ContentionFairShare} {
-		up, err := NewUplink(model, 1000)
+		up, err := NewLink(model, 1000)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -313,7 +313,7 @@ func TestFIFOQueueBoundedOverLongRun(t *testing.T) {
 	// bounded backlog, the ring must stay near the peak concurrency no
 	// matter how many transfers pass through (the old code retained every
 	// popped head for the life of the run).
-	up, err := NewUplink(ContentionFIFO, 1000)
+	up, err := NewLink(ContentionFIFO, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}

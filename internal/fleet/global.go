@@ -3,6 +3,8 @@ package fleet
 import (
 	"math"
 	"sort"
+
+	"camsim/internal/fleet/quantile"
 )
 
 // globalController is the fleet-wide energy-aware placement controller: a
@@ -101,7 +103,7 @@ func (g *globalController) epoch(t float64, sc *Scenario, cams []camera, classCa
 		lat := g.winLat[ci]
 		if len(lat) > 0 {
 			sort.Float64s(lat)
-			p95[ci] = percentile(lat, 0.95)
+			p95[ci] = quantile.NearestRank(lat, 0.95)
 		}
 		congested[ci] = g.winDrops[ci] > 0 || (len(lat) > 0 && g.cfg.HighSec > 0 && p95[ci] > g.cfg.HighSec)
 		g.winLat[ci] = g.winLat[ci][:0]

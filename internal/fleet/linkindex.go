@@ -1,20 +1,30 @@
 package fleet
 
-// linkIndex finds the earliest next completion across a fixed set of links
-// in O(log links) per event, replacing the O(links) scan that dominated
-// deep-topology runs. The set is direction-agnostic: uplinks occupy the
-// low indices in tier order and declared downlinks follow, so ties on
-// time resolve uplinks (leaves before the root) ahead of downlinks,
-// deterministically. It is a lazily invalidated min-heap: every Start or
-// Finish on link li bumps li's version and pushes a fresh (finish time,
-// li, version) entry; peek discards entries whose version is stale. Each
-// link therefore has at most one live entry — the one reflecting its
-// current NextFinish — and ties on time resolve to the lowest link index,
-// matching the scan baseline bit for bit.
+// linkIndex owns a run's links and is the only code that mutates them:
+// start, finish, drain, setCapacity and setCores each re-index the link
+// they touch and keep the in-flight count, so no call site can forget
+// to. It finds the earliest next completion across the links in
+// O(log links) per event. The set is direction-agnostic: uplinks occupy
+// the low indices in tier order, declared downlinks follow, then compute
+// pools, so ties on time resolve uplinks (leaves before the root) ahead
+// of downlinks and network ahead of compute, deterministically. It is a
+// lazily invalidated min-heap: every mutation of link li bumps li's
+// version and pushes a fresh (finish time, li, version) entry; peek
+// discards entries whose version is stale. Each link therefore has at
+// most one live entry — the one reflecting its current NextFinish — and
+// ties on time resolve to the lowest link index, matching a plain
+// O(links) scan bit for bit (TestLinkIndexLockstepWithScan).
 type linkIndex struct {
 	links []Link
 	ver   []uint64
 	h     liHeap
+	// inFlight counts transfers resident in any link (one transfer
+	// crossing k tiers counts once per currently occupied link).
+	// Transfers mid-propagation between links sit in the event heap
+	// instead, so the event loop's condition still sees them.
+	inFlight int
+	// finished counts the transfers each link has completed.
+	finished []int64
 }
 
 type liEntry struct {
@@ -76,18 +86,54 @@ func (h *liHeap) pop() liEntry {
 	return e
 }
 
-func newLinkIndex(links []Link) *linkIndex {
-	return &linkIndex{links: links, ver: make([]uint64, len(links))}
+func newLinkIndex(links []Link) linkIndex {
+	return linkIndex{links: links, ver: make([]uint64, len(links)), finished: make([]int64, len(links))}
 }
 
-// invalidate must be called after any Start or Finish on links[li]: both
-// can move the link's earliest completion (fair share rescales every
-// in-flight transfer on admission).
+// invalidate re-indexes links[li] after a mutation: every one can move
+// the link's earliest completion (fair share rescales every in-flight
+// transfer on admission).
 func (x *linkIndex) invalidate(li int) {
 	x.ver[li]++
 	if t, ok := x.links[li].NextFinish(); ok {
 		x.h.push(liEntry{t: t, li: li, ver: x.ver[li]})
 	}
+}
+
+// start admits transfer id of the given size onto link li at time now.
+func (x *linkIndex) start(li int, now float64, id int, bytes float64) {
+	x.links[li].Start(now, id, bytes)
+	x.inFlight++
+	x.invalidate(li)
+}
+
+// finish completes and returns the transfer link li reported next.
+func (x *linkIndex) finish(li int) int {
+	id := x.links[li].Finish()
+	x.inFlight--
+	x.finished[li]++
+	x.invalidate(li)
+	return id
+}
+
+// drain empties link li (see drainable) and returns the lost ids.
+func (x *linkIndex) drain(li int) []int {
+	ids := x.links[li].(drainable).drain()
+	x.inFlight -= len(ids)
+	x.invalidate(li)
+	return ids
+}
+
+// setCapacity rescales network link li at time now (see capScaler).
+func (x *linkIndex) setCapacity(li int, now, bytesPerSec float64) {
+	x.links[li].(capScaler).setCapacity(now, bytesPerSec)
+	x.invalidate(li)
+}
+
+// setCores resizes compute pool li at time now (see coreScaler).
+func (x *linkIndex) setCores(li int, now float64, cores int) {
+	x.links[li].(coreScaler).setCores(now, cores)
+	x.invalidate(li)
 }
 
 // peek returns the link with the earliest completion and that time, or

@@ -2,6 +2,8 @@ package fleet
 
 import (
 	"sort"
+
+	"camsim/internal/fleet/quantile"
 )
 
 // controller is the per-class adaptive-placement state: the observation
@@ -105,7 +107,7 @@ func (c *controller) decide(cl *Class, cams []camera, members []int32) int {
 	var p95 float64
 	if len(lat) > 0 {
 		sort.Float64s(lat)
-		p95 = percentile(lat, 0.95)
+		p95 = quantile.NearestRank(lat, 0.95)
 	}
 	congested := drops > 0 || (len(lat) > 0 && p95 > p.HighSec)
 	switch p.Kind {

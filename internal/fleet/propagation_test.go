@@ -265,33 +265,6 @@ func TestTierTreeServedBytesConservedHopToHop(t *testing.T) {
 	}
 }
 
-func TestIndexedCompletionMatchesScanBaseline(t *testing.T) {
-	// The heap-backed link-completion index must replay every scenario —
-	// flat, gateways, and deep trees — byte-identically to the O(links)
-	// scan it replaced, including completion-time tie-breaks.
-	rng := rand.New(rand.NewSource(77))
-	for iter := 0; iter < 40; iter++ {
-		var sc Scenario
-		if iter%2 == 0 {
-			sc = randomScenario(rng)
-		} else {
-			sc = randomTreeScenario(rng)
-		}
-		fast, err := run(sc, true)
-		if err != nil {
-			t.Fatalf("iter %d: %v", iter, err)
-		}
-		slow, err := run(sc, false)
-		if err != nil {
-			t.Fatalf("iter %d: %v", iter, err)
-		}
-		if fast.Table() != slow.Table() {
-			t.Fatalf("iter %d: indexed run diverged from scan baseline:\n%s\nvs\n%s",
-				iter, fast.Table(), slow.Table())
-		}
-	}
-}
-
 func TestDeepTopologyScenarioAdaptsAndPaysPropagationFloor(t *testing.T) {
 	run := func(policy string) *Result {
 		sc, err := DeepTopologyScenario(1, 3, policy)

@@ -18,7 +18,7 @@ import (
 func uplinkTrace(t *testing.T, model string, rng *rand.Rand) {
 	t.Helper()
 	capacity := float64(1+rng.Intn(1000)) * 10 // 10..10000 B/s
-	up, err := NewUplink(model, capacity)
+	up, err := NewLink(model, capacity)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -254,6 +254,42 @@ func ParseScenario(data []byte) (Scenario, error) {
 	return sc, nil
 }
 
+// clone returns sc with fresh storage for every section Normalize writes
+// defaults into — the class, gateway and tier slices, each tier's
+// downlink and compute, and the global, federated and dynamics sections —
+// plus telemetry, so a run's normalized copy shares no mutable section
+// with the caller or, under Sweep, with sibling scenarios.
+func (sc Scenario) clone() Scenario {
+	sc.Classes = append([]Class(nil), sc.Classes...)
+	sc.Gateways = append([]Gateway(nil), sc.Gateways...)
+	sc.Tiers = append([]Tier(nil), sc.Tiers...)
+	for i := range sc.Tiers {
+		if d := sc.Tiers[i].Downlink; d != nil {
+			dd := *d
+			sc.Tiers[i].Downlink = &dd
+		}
+		if cp := sc.Tiers[i].Compute; cp != nil {
+			cc := *cp
+			sc.Tiers[i].Compute = &cc
+		}
+	}
+	if sc.Global != nil {
+		g := *sc.Global
+		sc.Global = &g
+	}
+	if sc.Telemetry != nil {
+		tc := *sc.Telemetry
+		sc.Telemetry = &tc
+	}
+	if sc.Dynamics != nil {
+		dd := *sc.Dynamics
+		dd.Events = append([]FleetEvent(nil), dd.Events...)
+		sc.Dynamics = &dd
+	}
+	sc.Federated = sc.Federated.Clone()
+	return sc
+}
+
 // Normalize fills defaulted fields in place: contention models (every
 // tier), arrival pattern, queue depth, offload probability and the
 // adaptive-policy knobs. It is idempotent.

@@ -192,50 +192,99 @@ func cameraSeed(seed int64, idx int) int64 {
 // Run executes one scenario to completion: captures stop at
 // Scenario.Duration and every tier drains. The same normalized scenario
 // always produces the identical Result.
-func Run(sc Scenario) (*Result, error) { return run(sc, true) }
+func Run(sc Scenario) (*Result, error) { return run(sc) }
 
-// run is Run with the link-completion lookup selectable: indexed (the
-// production path — a lazily invalidated heap finds the earliest completion
-// in O(log tiers)) or the O(tiers)-scan baseline kept for the
-// BenchmarkDeepTopology comparison and equivalence tests.
-func run(sc Scenario, indexed bool) (*Result, error) {
-	// sc arrives by value but Classes/Gateways/Tiers share backing arrays
-	// with the caller (and, under Sweep, with sibling scenarios), and
-	// Global, Federated and each Tier's Downlink are shared pointers:
-	// copy before Normalize writes defaults into them.
-	sc.Classes = append([]Class(nil), sc.Classes...)
-	sc.Gateways = append([]Gateway(nil), sc.Gateways...)
-	sc.Tiers = append([]Tier(nil), sc.Tiers...)
-	for i := range sc.Tiers {
-		if d := sc.Tiers[i].Downlink; d != nil {
-			dd := *d
-			sc.Tiers[i].Downlink = &dd
-		}
-		if cp := sc.Tiers[i].Compute; cp != nil {
-			cc := *cp
-			sc.Tiers[i].Compute = &cc
-		}
+// run is the engine's single entry point: every engine frame in a CPU
+// profile sits under camsim/internal/fleet.run, the name perfbench's
+// profile grouping keys on.
+func run(sc Scenario) (*Result, error) {
+	e, err := newEngine(sc)
+	if err != nil {
+		return nil, err
 	}
-	if sc.Global != nil {
-		g := *sc.Global
-		sc.Global = &g
+	if err := e.loop(); err != nil {
+		return nil, err
 	}
-	if sc.Telemetry != nil {
-		tc := *sc.Telemetry
-		sc.Telemetry = &tc
-	}
-	if sc.Dynamics != nil {
-		dd := *sc.Dynamics
-		dd.Events = append([]FleetEvent(nil), dd.Events...)
-		sc.Dynamics = &dd
-	}
-	sc.Federated = sc.Federated.Clone()
+	return e.result(), nil
+}
+
+// engine is the live state of one run, grouped by subsystem. newEngine
+// resolves a scenario into it and seeds the event heap, loop drives it
+// until every event has fired and every link has drained, and result
+// assembles the Result. Each subsystem's methods live in its own file:
+// capture and admission in capture.go, transit and completion in
+// transit.go, compute pools in compute.go, federated rounds in
+// federated.go, the fault schedule in dynamics.go and result assembly
+// in stats.go.
+type engine struct {
+	sc    Scenario // the run's private, normalized copy
+	nodes []tierNode
+	root  int
+
+	// links holds every link in a fixed layout: one uplink per tier node
+	// in tier order, then declared downlinks in tier order, then compute
+	// pools. Simultaneous completions resolve to the lowest index, so
+	// leaf uplinks beat the root, uplinks beat downlinks and network
+	// beats compute. owner maps each link to its tier; poolBase is the
+	// first pool's index.
+	links    linkIndex
+	owner    []int
+	poolBase int
+	// downLink and compLink map a tier to its downlink's and its core
+	// pool's link index, -1 without one.
+	downLink []int
+	compLink []int
+	// compPlan is the per-tier, per-class service demand (computePlan),
+	// nil without any compute section — the infinite-compute fast path:
+	// no pools exist, no routing changes, and the run is byte-identical
+	// to a build that predates the section. compWait sketches each
+	// pool's queueing delay.
+	compPlan [][]float64
+	compWait []*quantile.Sketch
+
+	// firstHop is the tier each class's cameras transmit on; rowJ and
+	// rowDelay price each class's placement rows (see routeClass).
+	firstHop []int
+	rowJ     [][]float64
+	rowDelay [][]float64
+
+	cams      []camera
+	classCams [][]int32 // each class's live cameras, in join order
+	ctls      []*controller
+	gctl      *globalController
+	dyn       *dynamics  // nil without a non-empty fault schedule
+	tel       *collector // nil without streaming telemetry
+	res       *Result
+
+	// Federated state, nil without a federated job: the round engine,
+	// each uplink's federated share of served bytes, the participants,
+	// and the participants attached at each tier.
+	fle       *fl.Engine
+	flUpBytes []float64
+	flParts   []flPart
+	flByTier  [][]int32
+
+	events eventHeap
+	seq    int64 // next event's tie-break sequence number
+	// Transfer ids are recycled through a free list the moment a transfer
+	// completes, so transfers scales with the peak in-flight population
+	// instead of growing one slot per frame for the life of the run.
+	// Recycling cannot perturb results: a completed id is referenced
+	// nowhere (not in any link, not in any pending event), and no output
+	// ordering keys off id values.
+	transfers []transfer
+	freeIDs   []int
+}
+
+// newEngine resolves sc into a ready-to-run engine: a private normalized
+// copy of the scenario, its tier tree and links, priced classes, the
+// optional subsystems, and the initial events.
+func newEngine(sc Scenario) (*engine, error) {
+	// sc arrives by value, but its sections share storage with the caller
+	// (and, under Sweep, with sibling scenarios): clone before Normalize
+	// writes defaults into them.
+	sc = sc.clone()
 	sc.Normalize()
-
-	// The resolved tier tree, one link per node; every offload rides the
-	// chain of links from its class's attach node to the root, paying
-	// transmission plus one-way propagation at each hop. Resolved once,
-	// shared with validation.
 	nodes, root, err := sc.topology()
 	if err != nil {
 		return nil, err
@@ -243,209 +292,132 @@ func run(sc Scenario, indexed bool) (*Result, error) {
 	if err := sc.validate(nodes); err != nil {
 		return nil, err
 	}
-	links := make([]Link, len(nodes))
-	tierIdx := make(map[string]int, len(nodes))
-	for i, nd := range nodes {
-		up, err := NewLink(nd.Uplink.Contention, nd.Uplink.BytesPerSecond())
+	e := &engine{sc: sc, nodes: nodes, root: root}
+	if err := e.buildLinks(); err != nil {
+		return nil, err
+	}
+	e.firstHop = make([]int, len(sc.Classes))
+	e.rowJ = make([][]float64, len(sc.Classes))
+	for ci := range sc.Classes {
+		e.routeClass(ci, classAttachIndex(nodes, &sc.Classes[ci]))
+	}
+	// Dynamics, telemetry and federated rounds exist only when the
+	// scenario asks: every other run bypasses their nil checks and stays
+	// byte-identical to a build that predates them. The collector
+	// observes the same completions and drops the exact path counts, so it
+	// only changes how latency statistics are accumulated.
+	if sc.Dynamics != nil && len(sc.Dynamics.Events) > 0 {
+		e.dyn = newDynamics(&e.sc, nodes, e.firstHop)
+	}
+	if sc.Telemetry != nil && sc.Telemetry.Streaming {
+		labels, caps := e.linkLabels()
+		e.tel = newCollector(&e.sc, e.links.links, labels, caps, e.dyn)
+	}
+	if sc.Federated != nil {
+		topo, err := e.sc.flTopology(nodes)
 		if err != nil {
 			return nil, err
 		}
-		links[i] = up
-		tierIdx[nd.Name] = i
+		if e.fle, err = fl.NewEngine(*sc.Federated, topo); err != nil {
+			return nil, err
+		}
+		e.flUpBytes = make([]float64, len(nodes))
 	}
-	// Declared downlinks are appended after every uplink, in tier order:
-	// uplink indices — and therefore simultaneous-completion tie-breaks —
-	// stay exactly the legacy ones, and a downlink tying an uplink
-	// resolves after it. downLink maps a tier to its downlink's link
-	// index (-1 without one); downOwner maps back.
-	downLink := make([]int, len(nodes))
-	var downOwner []int
-	for i, nd := range nodes {
-		downLink[i] = -1
+	e.cams = make([]camera, 0, sc.Cameras())
+	e.classCams = make([][]int32, len(sc.Classes))
+	e.ctls = newControllers(&e.sc, e.rowJ, e.rowDelay)
+	e.gctl = newGlobal(&e.sc, e.rowJ, e.rowDelay)
+	e.res = newResult(e.sc)
+	e.seedEvents()
+	e.transfers = make([]transfer, 0, sc.Cameras())
+	return e, nil
+}
+
+// buildLinks creates every link in the fixed layout (see engine.links)
+// with its owner table and the tier → link maps.
+func (e *engine) buildLinks() error {
+	links := make([]Link, len(e.nodes))
+	e.owner = make([]int, len(e.nodes))
+	for i, nd := range e.nodes {
+		up, err := NewLink(nd.Uplink.Contention, nd.Uplink.BytesPerSecond())
+		if err != nil {
+			return err
+		}
+		links[i] = up
+		e.owner[i] = i
+	}
+	e.downLink = make([]int, len(e.nodes))
+	for i, nd := range e.nodes {
+		e.downLink[i] = -1
 		if nd.Downlink == nil {
 			continue
 		}
 		dn, err := NewLink(nd.Downlink.Contention, nd.Downlink.BytesPerSecond())
 		if err != nil {
-			return nil, err
+			return err
 		}
-		downLink[i] = len(links)
-		downOwner = append(downOwner, i)
+		e.downLink[i] = len(links)
+		e.owner = append(e.owner, i)
 		links = append(links, dn)
 	}
 	// Tier core pools are links too ("bytes" = core-seconds of service
-	// demand), appended after every downlink: uplink and downlink indices
-	// — and therefore every legacy tie-break — are untouched, and a
-	// compute completion tying a network completion resolves last.
-	// compPlan is nil without any compute section, the infinite-compute
-	// fast path: no servers exist, no routing changes, and the run is
-	// byte-identical to a build that predates the section. compLink maps
-	// a tier to its pool's link index (-1 without one); compOwner maps
-	// back; compWait sketches each pool's queueing delay.
-	compPlan := computePlan(nodes, sc.Classes)
-	compLink := make([]int, len(nodes))
-	var compOwner []int
-	var compWait []*quantile.Sketch
-	for i := range nodes {
-		compLink[i] = -1
-		if compPlan == nil || nodes[i].Compute == nil {
+	// demand).
+	e.poolBase = len(links)
+	e.compPlan = computePlan(e.nodes, e.sc.Classes)
+	e.compLink = make([]int, len(e.nodes))
+	for i := range e.nodes {
+		e.compLink[i] = -1
+		if e.compPlan == nil || e.nodes[i].Compute == nil {
 			continue
 		}
-		if compWait == nil {
-			compWait = make([]*quantile.Sketch, len(nodes))
+		if e.compWait == nil {
+			e.compWait = make([]*quantile.Sketch, len(e.nodes))
 		}
-		compLink[i] = len(links)
-		compOwner = append(compOwner, i)
-		links = append(links, newComputeServer(nodes[i].Compute))
-		compWait[i] = quantile.NewSketch()
+		e.compLink[i] = len(links)
+		e.owner = append(e.owner, i)
+		links = append(links, newComputeServer(e.nodes[i].Compute))
+		e.compWait[i] = quantile.NewSketch()
 	}
+	e.links = newLinkIndex(links)
+	return nil
+}
 
-	// firstHop maps each class to the link its cameras transmit on;
-	// pathFwdJ prices the class's uplink path in forwarding joules per
-	// byte (the sum of Tier.TxPerByteJ over every hop to the root), and
-	// rowJ prices every class's placement rows per captured frame — the
-	// energy tables the placement controllers score against.
-	firstHop := make([]int, len(sc.Classes))
-	rowJ := make([][]float64, len(sc.Classes))
-	// rowDelay prices every class's placement rows in deterministic delay
-	// seconds per frame (in-camera compute plus expected tier service, see
-	// classRowDelays) — nil per class unless a compute tier sits on its
-	// offload path, so scenarios without the section keep the controllers'
-	// legacy arithmetic bit for bit.
-	var rowDelay [][]float64
-	for ci := range sc.Classes {
-		firstHop[ci] = root
-		if at := sc.Classes[ci].attach(); at != "" {
-			firstHop[ci] = tierIdx[at]
-		}
-		pathFwdJ := 0.0
-		for li := firstHop[ci]; li >= 0; li = nodes[li].parent {
-			pathFwdJ += nodes[li].TxPerByteJ
-		}
-		rowJ[ci] = classRowEnergies(&sc.Classes[ci], pathFwdJ)
-		if scale := classPathScale(nodes, compPlan, ci, firstHop[ci]); scale > 0 {
-			if rowDelay == nil {
-				rowDelay = make([][]float64, len(sc.Classes))
-			}
-			rowDelay[ci] = classRowDelays(&sc.Classes[ci], scale)
-		}
+// routeClass points class ci's first hop at tier ti and prices the
+// tables the placement controllers score against: rowJ in joules per
+// captured frame, forwarding included (the sum of Tier.TxPerByteJ over
+// every hop to the root), and rowDelay in deterministic delay seconds
+// per frame (classRowDelays) — nil per class unless a compute tier sits
+// on its offload path, so scenarios without the section keep the
+// controllers' legacy arithmetic bit for bit. rowJ and rowDelay are the
+// outer slices the global controller holds, so element reassignment is
+// visible to it.
+func (e *engine) routeClass(ci, ti int) {
+	e.firstHop[ci] = ti
+	pathFwdJ := 0.0
+	for li := ti; li >= 0; li = e.nodes[li].parent {
+		pathFwdJ += e.nodes[li].TxPerByteJ
 	}
-
-	// The dynamics engine, created only for a non-empty fault schedule:
-	// every other run — including one with a present-but-empty dynamics
-	// section — bypasses every dyn != nil branch and stays byte-identical
-	// to the legacy path.
-	var dyn *dynamics
-	if sc.Dynamics != nil && len(sc.Dynamics.Events) > 0 {
-		dyn = newDynamics(&sc, nodes, firstHop)
-	}
-
-	// The streaming-telemetry collector, when the scenario opts in. It
-	// observes the same completions and drops at the same event times the
-	// exact path counts, so it cannot perturb the simulation — it only
-	// changes how latency statistics are accumulated (sketches instead of
-	// sample slices) and, with a window, adds the time series.
-	var tel *collector
-	if sc.Telemetry != nil && sc.Telemetry.Streaming {
-		labels := make([]string, 0, len(links))
-		caps := make([]float64, 0, len(links))
-		for _, nd := range nodes {
-			labels = append(labels, nd.Name)
-			caps = append(caps, nd.Uplink.BytesPerSecond())
-		}
-		for _, ti := range downOwner {
-			labels = append(labels, nodes[ti].Name+":down")
-			caps = append(caps, nodes[ti].Downlink.BytesPerSecond())
-		}
-		for _, ti := range compOwner {
-			// A pool's "capacity" is cores×1 core-seconds per second, so
-			// the shared utilization math reports busy fraction.
-			labels = append(labels, nodes[ti].Name+":compute")
-			caps = append(caps, float64(nodes[ti].Compute.Cores))
-		}
-		tel = newCollector(&sc, links, labels, caps, dyn)
-	}
-
-	// The federated round engine, when the scenario configures a job. It
-	// is pure accounting — the loop below reports blob landings and model
-	// deliveries to it and starts the transfers it asks for. flUpBytes
-	// splits each uplink's served bytes into the federated share.
-	var fle *fl.Engine
-	var flUpBytes []float64
-	if sc.Federated != nil {
-		topo, err := sc.flTopology(nodes)
-		if err != nil {
-			return nil, err
-		}
-		if fle, err = fl.NewEngine(*sc.Federated, topo); err != nil {
-			return nil, err
-		}
-		flUpBytes = make([]float64, len(nodes))
-	}
-
-	// netInFlight counts transfers resident in any link (one transfer
-	// crossing k tiers counts once per currently occupied link), replacing
-	// the per-iteration rescan of every tier. Transfers mid-propagation
-	// between links sit in the event heap instead, so the loop condition
-	// still sees them.
-	netInFlight := 0
-	linkTransfers := make([]int64, len(links))
-	var lidx *linkIndex
-	if indexed {
-		lidx = newLinkIndex(links)
-	}
-	startLink := func(li int, now float64, id int, bytes float64) {
-		links[li].Start(now, id, bytes)
-		netInFlight++
-		if lidx != nil {
-			lidx.invalidate(li)
-		}
-	}
-	finishLink := func(li int) int {
-		id := links[li].Finish()
-		netInFlight--
-		linkTransfers[li]++
-		if lidx != nil {
-			lidx.invalidate(li)
-		}
-		return id
-	}
-	// nextLinkFinish returns the earliest completion across the tiers;
-	// ties resolve to the lowest link index (leaves before the root),
-	// deterministically, under both lookup strategies.
-	nextLinkFinish := func() (int, float64, bool) {
-		if lidx != nil {
-			return lidx.peek()
-		}
-		li, lt := -1, 0.0
-		for i, up := range links {
-			if t, ok := up.NextFinish(); ok && (li < 0 || t < lt) {
-				li, lt = i, t
+	cl := &e.sc.Classes[ci]
+	e.rowJ[ci] = classRowEnergies(cl, pathFwdJ)
+	if scale := classPathScale(e.nodes, e.compPlan, ci, ti); scale > 0 {
+		if e.rowDelay == nil {
+			e.rowDelay = make([][]float64, len(e.sc.Classes))
+			if e.gctl != nil {
+				e.gctl.rowDelay = e.rowDelay
 			}
 		}
-		return li, lt, li >= 0
+		e.rowDelay[ci] = classRowDelays(cl, scale)
+	} else if e.rowDelay != nil {
+		e.rowDelay[ci] = nil
 	}
-	// anyInFlight gates the event loop. The baseline reproduces the old
-	// per-iteration rescan of every tier; the indexed path reads the
-	// running counter.
-	anyInFlight := func() bool {
-		if lidx != nil {
-			return netInFlight > 0
-		}
-		for _, up := range links {
-			if up.InFlight() > 0 {
-				return true
-			}
-		}
-		return false
-	}
+}
 
-	cams := make([]camera, 0, sc.Cameras())
-	classCams := make([][]int32, len(sc.Classes))
-	ctls := newControllers(&sc, rowJ, rowDelay)
-	gctl := newGlobal(&sc, rowJ, rowDelay)
-	res := newResult(sc)
-
+// seedEvents sizes the event heap and the latency slices, then pushes
+// the initial events: each class's cameras' first captures and its
+// first control tick, the first global epoch, each federated
+// participant's first round, and the whole fault schedule.
+func (e *engine) seedEvents() {
+	sc := &e.sc
 	// Steady-state storage is sized up front so the event loop never
 	// regrows it. The event heap's population is structurally bounded —
 	// each camera owns at most one pending capture plus one live event per
@@ -461,730 +433,122 @@ func run(sc Scenario, indexed bool) (*Result, error) {
 			slots = frames + float64(cl.Count)
 		}
 		heapCap += clampEst(slots)
-		if tel == nil {
+		if e.tel == nil {
 			// The exact path holds every completed offload's latency; the
 			// streaming path holds O(1) sketches instead, so this is the
 			// frame-scaled allocation telemetry removes.
-			res.Classes[ci].latencies = make([]float64, 0, clampEst(frames*cl.OffloadProb))
+			e.res.Classes[ci].latencies = make([]float64, 0, clampEst(frames*cl.OffloadProb))
 		}
-		classCams[ci] = make([]int32, 0, cl.Count)
+		e.classCams[ci] = make([]int32, 0, cl.Count)
 	}
-	if fle != nil {
+	if e.fle != nil {
 		// One pending ready event per federated participant at a time.
-		heapCap += fle.Cameras()
+		heapCap += e.fle.Cameras()
 	}
-	if dyn != nil {
+	if e.dyn != nil {
 		// One pending firing per schedule entry at a time (a recurring
 		// entry re-pushes itself only as it fires).
-		heapCap += len(dyn.events)
+		heapCap += len(e.dyn.events)
 	}
-	events := make(eventHeap, 0, heapCap)
-	var seq int64
-	push := func(ev event) {
-		ev.seq = seq
-		seq++
-		events.push(ev)
-	}
-	nextCapture := func(c *camera, now float64) float64 {
-		cl := &sc.Classes[c.class]
-		fps := cl.FPS
-		if dyn != nil {
-			// ×1.0 is exact, so a schedule that never touches a class's
-			// rate leaves its capture times bit-identical.
-			fps *= dyn.fpsMul[c.class]
-		}
-		if cl.Arrival == ArrivalPoisson {
-			return now + c.rng.ExpFloat64()/fps
-		}
-		return now + 1/fps
-	}
+	e.events = make(eventHeap, 0, heapCap)
 	for ci := range sc.Classes {
 		cl := &sc.Classes[ci]
 		for k := 0; k < cl.Count; k++ {
-			idx := len(cams)
-			c := camera{class: ci, rng: newPRNG(cameraSeed(sc.Seed, idx)), stored: cl.StoreJ, placement: cl.Policy.Start}
-			// First capture: a random phase inside one period (periodic) or
-			// one exponential gap (Poisson).
-			var first float64
-			if cl.Arrival == ArrivalPoisson {
-				first = c.rng.ExpFloat64() / cl.FPS
-			} else {
-				first = c.rng.Float64() / cl.FPS
-			}
-			cams = append(cams, c)
-			classCams[ci] = append(classCams[ci], int32(idx))
-			if first < sc.Duration {
-				push(event{t: first, kind: evCapture, cam: int32(idx)})
-			}
+			e.spawnCamera(ci, 0)
 		}
-		if ctls[ci] != nil && cl.Policy.IntervalSec < sc.Duration {
-			push(event{t: cl.Policy.IntervalSec, kind: evControl, cam: int32(ci)})
+		if e.ctls[ci] != nil && cl.Policy.IntervalSec < sc.Duration {
+			e.push(event{t: cl.Policy.IntervalSec, kind: evControl, cam: int32(ci)})
 		}
 	}
-	if gctl != nil && sc.Global.EpochSec < sc.Duration {
-		push(event{t: sc.Global.EpochSec, kind: evGlobal})
+	if e.gctl != nil && sc.Global.EpochSec < sc.Duration {
+		e.push(event{t: sc.Global.EpochSec, kind: evGlobal})
 	}
-
-	// Federated participants, in class then camera order: each owns a
-	// jitter stream seeded by its camera's global index under the
-	// federated family tag, so the draws are stable under class edits
-	// elsewhere and never perturb frame traffic. Round 1's local compute
-	// starts at t = 0; rounds run to completion past Duration, the event
-	// loop draining them like any other traffic.
-	var flParts []flPart
-	var flByTier [][]int32
-	if fle != nil {
-		part := make(map[string]bool, len(sc.Federated.Classes))
-		for _, name := range sc.Federated.Classes {
-			part[name] = true
-		}
-		flByTier = make([][]int32, len(nodes))
-		flParts = make([]flPart, 0, fle.Cameras())
-		for ci := range sc.Classes {
-			if len(part) > 0 && !part[sc.Classes[ci].Name] {
-				continue
-			}
-			ti := firstHop[ci]
-			for _, camIdx := range classCams[ci] {
-				pi := int32(len(flParts))
-				flParts = append(flParts, flPart{tier: int32(ti), rng: newPRNG(flSeed(sc.Seed, int(camIdx)))})
-				flByTier[ti] = append(flByTier[ti], pi)
-			}
-		}
-		f := sc.Federated
-		for pi := range flParts {
-			p := &flParts[pi]
-			push(event{t: f.ComputeSec + f.JitterSec*p.rng.Float64(), kind: evFLReady, cam: int32(pi), tr: 1})
-		}
+	if e.fle != nil {
+		e.startFederated()
 	}
-	if dyn != nil {
+	if e.dyn != nil {
 		// The whole schedule is pushed up front (evDynamics reuses tr as
 		// the entry index), so same-time entries fire in declaration order
 		// via the seq tie-break. Entries past Duration still fire — the
 		// drain phase is part of the run.
-		for i := range dyn.events {
-			push(event{t: dyn.events[i].Time, kind: evDynamics, tr: i})
+		for i := range e.dyn.events {
+			e.push(event{t: e.dyn.events[i].Time, kind: evDynamics, tr: i})
 		}
 	}
+}
 
-	// Transfer ids are recycled through a free list the moment a transfer
-	// completes, so the transfers slice scales with the peak in-flight
-	// population instead of growing one slot per frame for the life of the
-	// run. Recycling cannot perturb results: a completed id is referenced
-	// nowhere (not in any link, not in any pending event), and no output
-	// ordering keys off id values.
-	transfers := make([]transfer, 0, sc.Cameras())
-	var freeIDs []int
-	newTransfer := func(tr transfer) int {
-		if n := len(freeIDs) - 1; n >= 0 {
-			id := freeIDs[n]
-			freeIDs = freeIDs[:n]
-			transfers[id] = tr
-			return id
-		}
-		transfers = append(transfers, tr)
-		return len(transfers) - 1
-	}
-	// dropOutage accounts frame transfer id as lost to an outage at tier
-	// ti: the camera's queue slot frees (the frame will never arrive), and
-	// the drop is charged everywhere a queue drop would be — per class,
-	// per tier, telemetry, and both controller kinds — so controllers see
-	// and react to the regime shift. The caller settles netInFlight for
-	// ids drained out of a link; an id dropped on arrival was in no link.
-	dropOutage := func(ti, id int) {
-		tr := transfers[id]
-		freeIDs = append(freeIDs, id)
-		c := &cams[tr.cam]
-		c.inflight--
-		res.Classes[c.class].DroppedOutage++
-		dyn.stats.DroppedOutage++
-		dyn.outageDrops[ti]++
-		if tel != nil {
-			tel.dropOutage(c.class)
-		}
-		if ctl := ctls[c.class]; ctl != nil {
-			ctl.winDrops++
-		}
-		if gctl != nil {
-			gctl.drop(c.class)
-		}
-	}
-	// enterTier routes frame transfer id into tier ti at time now: through
-	// the tier's core pool first when it has one (service demand scales
-	// with the payload, compPlan), else straight onto the uplink — the
-	// no-compute degenerate case, identical to the pre-compute routing.
-	// A tier taken down by the dynamics schedule drops arrivals outright.
-	enterTier := func(now float64, ti, id int) {
-		if dyn != nil && dyn.down[ti] {
-			dropOutage(ti, id)
-			return
-		}
-		if ci := compLink[ti]; ci >= 0 {
-			tr := &transfers[id]
-			tr.compAt = now
-			startLink(ci, now, id, compPlan[ti][cams[tr.cam].class]*tr.bytes)
-			return
-		}
-		startLink(ti, now, id, transfers[id].bytes)
-	}
-	// complete lands transfer id in the cloud at time arrive: only then
-	// does the camera's queue slot free, the latency sample exist, and the
-	// adaptive controller see it — never before the frame has actually
-	// arrived.
-	complete := func(arrive float64, id int) {
-		tr := transfers[id]
-		freeIDs = append(freeIDs, id)
-		c := &cams[tr.cam]
-		c.inflight--
-		st := &res.Classes[c.class]
-		st.Offloaded++
-		lat := arrive - tr.capturedAt
-		if tel != nil {
-			tel.observe(c.class, lat)
-		} else {
-			st.latencies = append(st.latencies, lat)
-		}
-		if ctl := ctls[c.class]; ctl != nil {
-			ctl.observe(lat)
-		}
-		if gctl != nil {
-			gctl.observe(c.class, lat)
-		}
-		if arrive > res.SimEnd {
-			res.SimEnd = arrive
-		}
-	}
-	capture := func(t float64, camIdx int32) {
-		c := &cams[camIdx]
-		cl := &sc.Classes[c.class]
-		st := &res.Classes[c.class]
-		st.Captured++
+// push schedules ev behind every earlier-pushed event at the same time.
+func (e *engine) push(ev event) {
+	ev.seq = e.seq
+	e.seq++
+	e.events.push(ev)
+}
 
-		// Per-frame costs come from the camera's current placement when the
-		// class carries a runtime cost table, else from the class fields.
-		frameBytes := float64(cl.FrameBytes)
-		computeSec := cl.ComputeSeconds
-		computeJ := cl.ComputeJ
-		if len(cl.Placements) > 0 {
-			pc := &cl.Placements[c.placement]
-			frameBytes = float64(pc.FrameBytes)
-			computeSec = pc.ComputeSeconds
-			computeJ = pc.ComputeJ
-		}
-
-		offload := frameBytes > 0 && cl.OffloadProb > 0 && c.rng.Float64() < cl.OffloadProb
-		queueDropped := false
-		if offload && c.inflight >= cl.QueueDepth {
-			// Backpressure: the frame is still processed in-camera, but its
-			// offload is abandoned (no transmit cost below).
-			queueDropped = true
-			offload = false
-		}
-		need := cl.CaptureJ + computeJ
-		if offload {
-			need += cl.TxFixedJ + cl.TxPerByteJ*frameBytes
-		}
-		if cl.HarvestW > 0 {
-			c.stored += cl.HarvestW * (t - c.lastTop)
-			if c.stored > cl.StoreJ {
-				c.stored = cl.StoreJ
-			}
-			c.lastTop = t
-			if c.stored < need {
-				// The store cannot pay for this frame: skip it entirely and
-				// keep charging. Energy starvation is the binding constraint,
-				// so a frame dropped here is never also counted against the
-				// queue — each drop has exactly one cause.
-				st.DroppedEnergy++
-				if tel != nil {
-					tel.dropEnergy(c.class)
-				}
-				return
-			}
-			c.stored -= need
-		}
-		st.EnergyJ += need
-		if queueDropped {
-			st.DroppedQueue++
-			if tel != nil {
-				tel.dropQueue(c.class)
-			}
-			if ctl := ctls[c.class]; ctl != nil {
-				ctl.winDrops++
-			}
-			if gctl != nil {
-				gctl.drop(c.class)
-			}
-		}
-		if offload {
-			c.inflight++
-			push(event{t: t + computeSec, kind: evReady, cam: camIdx, capturedAt: t, bytes: frameBytes})
-		}
-	}
-
-	// flAbsorb lands federated transfer id — which just cleared uplink li
-	// and its propagation — at the parent tier (the cloud above the root)
-	// at time t, where it is aggregated. When the landing completes the
-	// round's fan-in there, the tier emits one merged blob on its own
-	// uplink; when the cloud's fan-in completes, the merged model starts
-	// down the root's downlink.
-	flAbsorb := func(t float64, li, id int) {
-		tr := transfers[id]
-		freeIDs = append(freeIDs, id)
-		target := nodes[li].parent
-		from := -1
-		if tr.cam >= 0 {
-			from = li // a camera blob's first uplink is its attach tier
-		}
-		if !fle.Arrive(target, int(tr.round), t, from) {
-			return
-		}
-		if target >= 0 {
-			mb := fle.UpdateBytes()
-			mid := newTransfer(transfer{cam: -1, round: tr.round, bytes: mb})
-			startLink(target, t, mid, mb)
-			return
-		}
-		bb := fle.ModelBytes()
-		bid := newTransfer(transfer{cam: -1, round: tr.round, bytes: bb})
-		startLink(downLink[root], t, bid, bb)
-	}
-	// flDeliver lands the round's model at span tier ti at time t: one
-	// copy forwards down each span child's downlink, and the tier's own
-	// participants (if any) start the next round's local compute.
-	flDeliver := func(t float64, ti, id int) {
-		round := int(transfers[id].round)
-		freeIDs = append(freeIDs, id)
-		fle.Delivered(ti, round, t)
-		for _, c := range fle.SpanChildren(ti) {
-			bb := fle.ModelBytes()
-			cid := newTransfer(transfer{cam: -1, round: int32(round), bytes: bb})
-			startLink(downLink[c], t, cid, bb)
-		}
-		if fle.CamsAt(ti) > 0 && round < fle.Rounds() {
-			f := sc.Federated
-			for _, pi := range flByTier[ti] {
-				p := &flParts[pi]
-				push(event{t: t + f.ComputeSec + f.JitterSec*p.rng.Float64(), kind: evFLReady, cam: pi, tr: round + 1})
-			}
-		}
-	}
-
-	// rehome repoints class ci's first hop at tier ti and reprices the
-	// tables the placement controllers score against: forwarding joules
-	// follow the new uplink path, and the deterministic delay rows follow
-	// the new path's compute scale. rowJ/rowDelay are the outer slices the
-	// global controller holds, so element reassignment is visible to it;
-	// each class controller aliases its inner row and is repointed
-	// explicitly.
-	rehome := func(ci, ti int) {
-		firstHop[ci] = ti
-		pathFwdJ := 0.0
-		for li := ti; li >= 0; li = nodes[li].parent {
-			pathFwdJ += nodes[li].TxPerByteJ
-		}
-		rowJ[ci] = classRowEnergies(&sc.Classes[ci], pathFwdJ)
-		if scale := classPathScale(nodes, compPlan, ci, ti); scale > 0 {
-			if rowDelay == nil {
-				rowDelay = make([][]float64, len(sc.Classes))
-				if gctl != nil {
-					gctl.rowDelay = rowDelay
-				}
-			}
-			rowDelay[ci] = classRowDelays(&sc.Classes[ci], scale)
-		} else if rowDelay != nil {
-			rowDelay[ci] = nil
-		}
-		if ctl := ctls[ci]; ctl != nil {
-			ctl.rowJ = rowJ[ci]
-			if rowDelay != nil {
-				ctl.rowDelay = rowDelay[ci]
-			}
-		}
-		moved := int64(len(classCams[ci]))
-		dyn.stats.Rehomed += moved
-		res.Classes[ci].Rehomed += moved
-	}
-	// dynFire executes schedule entry i at time t, then re-arms a
-	// recurring churn entry from its own seeded stream.
-	dynFire := func(t float64, i int) {
-		e := &dyn.events[i]
-		switch e.Kind {
-		case DynCameraJoin:
-			ci := dyn.class[i]
-			cl := &sc.Classes[ci]
-			for k := 0; k < e.Count; k++ {
-				// Joiners continue the global camera-seed sequence, so
-				// every existing camera's stream is untouched.
-				idx := len(cams)
-				c := camera{class: ci, rng: newPRNG(cameraSeed(sc.Seed, idx)), stored: cl.StoreJ, lastTop: t, placement: cl.Policy.Start}
-				fps := cl.FPS * dyn.fpsMul[ci]
-				var first float64
-				if cl.Arrival == ArrivalPoisson {
-					first = c.rng.ExpFloat64() / fps
-				} else {
-					first = c.rng.Float64() / fps
-				}
-				cams = append(cams, c)
-				classCams[ci] = append(classCams[ci], int32(idx))
-				if t+first < sc.Duration {
-					push(event{t: t + first, kind: evCapture, cam: int32(idx)})
-				}
-				res.Classes[ci].Cameras++
-				res.Classes[ci].Joined++
-				dyn.stats.Joined++
-			}
-		case DynCameraLeave:
-			ci := dyn.class[i]
-			for k := 0; k < e.Count; k++ {
-				members := classCams[ci]
-				n := len(members)
-				if n == 0 {
-					break
-				}
-				// The leaver is drawn from the entry's own stream
-				// (swap-remove keeps the pick O(1)); its in-flight frames
-				// still complete, it just captures nothing further.
-				pick := dyn.rngs[i].Intn(n)
-				camIdx := members[pick]
-				members[pick] = members[n-1]
-				classCams[ci] = members[:n-1]
-				cams[camIdx].departed = true
-				res.Classes[ci].Cameras--
-				res.Classes[ci].Left++
-				dyn.stats.Left++
-			}
-		case DynLinkDegrade:
-			ti := dyn.tier[i]
-			dyn.rescale(t, ti, e.Factor)
-			links[ti].(capScaler).setCapacity(t, dyn.baseCap[ti]*e.Factor)
-			if lidx != nil {
-				lidx.invalidate(ti)
-			}
-		case DynLinkRestore:
-			ti := dyn.tier[i]
-			dyn.rescale(t, ti, 1)
-			links[ti].(capScaler).setCapacity(t, dyn.baseCap[ti])
-			if lidx != nil {
-				lidx.invalidate(ti)
-			}
-		case DynTierOutage:
-			ti := dyn.tier[i]
-			dyn.down[ti] = true
-			dyn.downAt[ti] = t
-			// In-flight transfers through the dead tier — its uplink and
-			// its core pool — are lost, in completion order then waiting
-			// order, with no served credit.
-			for _, li := range [2]int{ti, compLink[ti]} {
-				if li < 0 {
-					continue
-				}
-				ids := links[li].(drainable).drain()
-				netInFlight -= len(ids)
-				for _, id := range ids {
-					dropOutage(ti, id)
-				}
-				if lidx != nil {
-					lidx.invalidate(li)
-				}
-			}
-			if dyn.fall[i] >= 0 {
-				for ci := range sc.Classes {
-					if firstHop[ci] == ti {
-						rehome(ci, dyn.fall[i])
-					}
-				}
-			}
-		case DynTierRecover:
-			ti := dyn.tier[i]
-			dyn.down[ti] = false
-			if d := t - dyn.downAt[ti]; d > 0 {
-				dyn.downtime[ti] += d
-			}
-			for ci := range sc.Classes {
-				if dyn.home[ci] == ti && firstHop[ci] != ti {
-					rehome(ci, ti)
-				}
-			}
-		case DynFPSProfile:
-			dyn.fpsMul[dyn.class[i]] = e.Multiplier
-		case DynComputeScale:
-			li := compLink[dyn.tier[i]]
-			links[li].(coreScaler).setCores(t, e.Cores)
-			if lidx != nil {
-				lidx.invalidate(li)
-			}
-		}
-		if e.EverySec > 0 {
-			if nt := t + dyn.rngs[i].ExpFloat64()*e.EverySec; nt < sc.Duration {
-				push(event{t: nt, kind: evDynamics, tr: i})
-			}
-		}
-	}
-
-	for len(events) > 0 || anyInFlight() {
-		if li, lt, ok := nextLinkFinish(); ok && (len(events) == 0 || lt <= events[0].t) {
+// loop runs the simulation until no event remains and no link holds a
+// transfer, interleaving the earliest link completion with the event
+// heap; a completion tying an event fires first.
+func (e *engine) loop() error {
+	for len(e.events) > 0 || e.links.inFlight > 0 {
+		if li, lt, ok := e.links.peek(); ok && (len(e.events) == 0 || lt <= e.events[0].t) {
 			if math.IsInf(lt, 1) {
-				// Reachable only under dynamics: the schedule is spent, no
-				// event remains, and every in-flight transfer is parked on
-				// a zero-capacity link nothing will ever restore. Drain
-				// them all as outage losses — accounted, never silently
-				// lost — and let the loop terminate.
-				for i := range links {
-					if links[i].InFlight() == 0 {
-						continue
-					}
-					ti := i
-					if i >= len(nodes)+len(downOwner) {
-						ti = compOwner[i-len(nodes)-len(downOwner)]
-					} else if i >= len(nodes) {
-						ti = downOwner[i-len(nodes)]
-					}
-					ids := links[i].(drainable).drain()
-					netInFlight -= len(ids)
-					for _, id := range ids {
-						dropOutage(ti, id)
-					}
-					if lidx != nil {
-						lidx.invalidate(i)
-					}
-				}
+				e.drainStalled()
 				continue
 			}
 			// Simulated time is monotone across both branches, so closing
 			// telemetry windows before processing puts every observation in
 			// the window covering its timestamp.
-			if tel != nil {
-				tel.advance(lt)
+			if e.tel != nil {
+				e.tel.advance(lt)
 			}
-			id := finishLink(li)
-			tr := transfers[id]
-			if li >= len(nodes)+len(downOwner) {
-				// A core pool drained: record the frame's queueing wait
-				// (sojourn minus service, clamped against fair-share float
-				// drift), then the frame starts transmission on the owning
-				// tier's uplink at the same instant.
-				ti := compOwner[li-len(nodes)-len(downOwner)]
-				w := lt - tr.compAt - compPlan[ti][cams[tr.cam].class]*tr.bytes
-				if w < 0 {
-					w = 0
-				}
-				compWait[ti].Add(w)
-				startLink(ti, lt, id, tr.bytes)
-				continue
-			}
-			if li >= len(nodes) {
-				// A downlink drained: the model blob is delivered at the
-				// owning tier one downlink propagation later.
-				ti := downOwner[li-len(nodes)]
-				if d := nodes[ti].Downlink; d.PropagationSec == 0 {
-					flDeliver(lt, ti, id)
-				} else {
-					push(event{t: lt + d.PropagationSec, kind: evFLDeliver, tr: id, link: int32(ti)})
-				}
-				continue
-			}
-			nd := &nodes[li]
-			if tr.round > 0 {
-				// A federated blob cleared one uplink hop: it is absorbed
-				// for aggregation where it lands, never forwarded onward —
-				// the in-network aggregation that shrinks bytes per hop.
-				flUpBytes[li] += tr.bytes
-				if nd.PropagationSec == 0 {
-					flAbsorb(lt, li, id)
-				} else {
-					push(event{t: lt + nd.PropagationSec, kind: evFLUp, tr: id, link: int32(li)})
-				}
-				continue
-			}
-			if li != root {
-				// This hop's transmission is done: the frame arrives at the
-				// parent tier one propagation delay later. With no delay it
-				// enters the parent link at the instant it drains,
-				// preserving the legacy two-tier event order exactly.
-				if nd.PropagationSec == 0 {
-					enterTier(lt, nd.parent, id)
-				} else {
-					push(event{t: lt + nd.PropagationSec, kind: evHop, tr: id, link: int32(nd.parent)})
-				}
-				continue
-			}
-			// Root transmission done: the frame still propagates the root
-			// hop before it lands in the cloud, which is when its
-			// capture-to-arrival latency stops accruing and its completion
-			// becomes observable (queue slot, controller telemetry).
-			if nd.PropagationSec == 0 {
-				complete(lt, id)
-			} else {
-				push(event{t: lt + nd.PropagationSec, kind: evArrive, tr: id})
-			}
+			e.linkDone(li, lt)
 			continue
 		}
-		ev := events.pop()
-		if tel != nil {
-			tel.advance(ev.t)
+		ev := e.events.pop()
+		if e.tel != nil {
+			e.tel.advance(ev.t)
 		}
 		switch ev.kind {
 		case evCapture:
-			if cams[ev.cam].departed {
+			if e.cams[ev.cam].departed {
 				break
 			}
-			capture(ev.t, ev.cam)
-			c := &cams[ev.cam]
-			if nt := nextCapture(c, ev.t); nt < sc.Duration {
-				push(event{t: nt, kind: evCapture, cam: ev.cam})
+			e.capture(ev.t, ev.cam)
+			if nt := e.nextCapture(&e.cams[ev.cam], ev.t); nt < e.sc.Duration {
+				e.push(event{t: nt, kind: evCapture, cam: ev.cam})
 			}
 		case evReady:
-			id := newTransfer(transfer{cam: ev.cam, capturedAt: ev.capturedAt, bytes: ev.bytes})
-			enterTier(ev.t, firstHop[cams[ev.cam].class], id)
+			id := e.newTransfer(transfer{cam: ev.cam, capturedAt: ev.capturedAt, bytes: ev.bytes})
+			e.enterTier(ev.t, e.firstHop[e.cams[ev.cam].class], id)
 		case evHop:
-			enterTier(ev.t, int(ev.link), ev.tr)
+			e.enterTier(ev.t, int(ev.link), ev.tr)
 		case evArrive:
-			complete(ev.t, ev.tr)
+			e.complete(ev.t, ev.tr)
 		case evControl:
 			ci := int(ev.cam)
-			cl := &sc.Classes[ci]
-			ctl := ctls[ci]
-			if dir := ctl.decide(cl, cams, classCams[ci]); dir != 0 {
-				ctl.move(cl, cams, classCams[ci], dir)
+			cl := &e.sc.Classes[ci]
+			ctl := e.ctls[ci]
+			if dir := ctl.decide(cl, e.cams, e.classCams[ci]); dir != 0 {
+				ctl.move(cl, e.cams, e.classCams[ci], dir)
 			}
-			if nt := ev.t + cl.Policy.IntervalSec; nt < sc.Duration {
-				push(event{t: nt, kind: evControl, cam: ev.cam})
+			if nt := ev.t + cl.Policy.IntervalSec; nt < e.sc.Duration {
+				e.push(event{t: nt, kind: evControl, cam: ev.cam})
 			}
 		case evGlobal:
-			gctl.epoch(ev.t, &sc, cams, classCams)
-			if nt := ev.t + sc.Global.EpochSec; nt < sc.Duration {
-				push(event{t: nt, kind: evGlobal})
+			e.gctl.epoch(ev.t, &e.sc, e.cams, e.classCams)
+			if nt := ev.t + e.sc.Global.EpochSec; nt < e.sc.Duration {
+				e.push(event{t: nt, kind: evGlobal})
 			}
 		case evFLReady:
-			p := &flParts[ev.cam]
-			ub := fle.UpdateBytes()
-			id := newTransfer(transfer{cam: ev.cam, round: int32(ev.tr), bytes: ub})
-			startLink(int(p.tier), ev.t, id, ub)
+			e.flReady(ev.t, ev.cam, ev.tr)
 		case evFLUp:
-			flAbsorb(ev.t, int(ev.link), ev.tr)
+			e.flAbsorb(ev.t, int(ev.link), ev.tr)
 		case evFLDeliver:
-			flDeliver(ev.t, int(ev.link), ev.tr)
+			e.flDeliver(ev.t, int(ev.link), ev.tr)
 		case evDynamics:
-			dynFire(ev.t, ev.tr)
+			e.fire(ev.t, ev.tr)
 		default:
-			return nil, fmt.Errorf("fleet: unknown event kind %d", ev.kind)
+			return fmt.Errorf("fleet: unknown event kind %d", ev.kind)
 		}
 	}
-
-	if res.SimEnd < sc.Duration {
-		res.SimEnd = sc.Duration
-	}
-	if fle != nil {
-		res.Federated = fle.Stats()
-		// The final broadcast can deliver after the last frame drains;
-		// the run ends when both have.
-		if res.Federated.DoneAt > res.SimEnd {
-			res.SimEnd = res.Federated.DoneAt
-		}
-	}
-	if dyn != nil {
-		// A tier still down at the end accrues downtime to the run's end.
-		for i := range nodes {
-			if dyn.down[i] {
-				if d := res.SimEnd - dyn.downAt[i]; d > 0 {
-					dyn.downtime[i] += d
-				}
-				dyn.down[i] = false
-			}
-		}
-	}
-	for i, nd := range nodes {
-		ts := TierStats{
-			Name:           nd.Name,
-			Parent:         nd.Parent,
-			Depth:          nd.depth,
-			Gbps:           nd.Uplink.Gbps,
-			Contention:     nd.Uplink.Contention,
-			PropagationSec: nd.PropagationSec,
-			ServedBytes:    links[i].ServedBytes(),
-			Transfers:      linkTransfers[i],
-			Utilization:    utilization(links[i].ServedBytes(), nd.Uplink.BytesPerSecond(), res.SimEnd),
-			TxPerByteJ:     nd.TxPerByteJ,
-			ForwardJ:       links[i].ServedBytes() * nd.TxPerByteJ,
-		}
-		if flUpBytes != nil {
-			ts.FLUpBytes = flUpBytes[i]
-		}
-		if dyn != nil {
-			ts.DowntimeSec = dyn.downtime[i]
-			ts.OutageDrops = dyn.outageDrops[i]
-		}
-		if d := nd.Downlink; d != nil {
-			dl := links[downLink[i]]
-			ts.DownGbps = d.Gbps
-			ts.DownContention = d.Contention
-			ts.DownPropagationSec = d.PropagationSec
-			ts.DownServedBytes = dl.ServedBytes()
-			ts.DownTransfers = linkTransfers[downLink[i]]
-			ts.DownlinkUtilization = utilization(dl.ServedBytes(), d.BytesPerSecond(), res.SimEnd)
-		}
-		if li := compLink[i]; li >= 0 {
-			cc := nd.Compute
-			// Once the run drains, a pool's served "bytes" are exactly the
-			// core-seconds it was busy (the conservation the property tests
-			// pin), so utilization is busy-share of cores × wall time.
-			busy := links[li].ServedBytes()
-			cs := &ComputeStats{
-				Cores:       cc.Cores,
-				Discipline:  cc.Discipline,
-				Frames:      linkTransfers[li],
-				BusySec:     busy,
-				Utilization: utilization(busy, float64(cc.Cores), res.SimEnd),
-			}
-			if s := compWait[i]; s.Count() > 0 {
-				cs.WaitP50 = s.Quantile(0.50)
-				cs.WaitP95 = s.Quantile(0.95)
-			}
-			ts.Compute = cs
-		}
-		res.Tiers = append(res.Tiers, ts)
-	}
-	// The top-tier utilization is the root tier's, found by name: tier
-	// order is stable today, but the name is the contract.
-	if rt := res.TierNamed(nodes[root].Name); rt != nil {
-		res.UplinkUtilization = rt.Utilization
-	}
-	for ci := range sc.Classes {
-		cl := &sc.Classes[ci]
-		if len(cl.Placements) == 0 {
-			continue
-		}
-		hist := make([]int, len(cl.Placements))
-		for _, idx := range classCams[ci] {
-			hist[cams[idx].placement]++
-		}
-		res.Classes[ci].PlacementCounts = hist
-		if ctls[ci] != nil {
-			res.Classes[ci].Switches = ctls[ci].moves
-		}
-	}
-	if tel != nil {
-		tel.finish(res.SimEnd)
-		res.TimeSeries = tel.series
-	}
-	res.finalize(tel)
-	for _, ti := range res.Tiers {
-		res.Energy.NetworkJ += ti.ForwardJ
-	}
-	res.Energy.CameraJ = res.Total.EnergyJ
-	if res.SimEnd > 0 {
-		res.Energy.AvgPowerW = (res.Energy.CameraJ + res.Energy.NetworkJ) / res.SimEnd
-	}
-	res.Energy.ProjectedW = projectedPowerW(&sc, rowJ, cams, classCams)
-	if gctl != nil {
-		st := gctl.stats
-		res.Global = &st
-		res.Total.Switches += st.Moves
-	}
-	if dyn != nil {
-		st := dyn.stats
-		res.Dynamics = &st
-	}
-	return res, nil
+	return nil
 }

@@ -114,7 +114,10 @@ type TierStats struct {
 // wait quantiles come from a KLL sketch (internal/fleet/quantile), so
 // they carry its ±1% rank error; BusySec is exact — the conservation the
 // compute property tests pin is BusySec = Σ (per-frame service seconds)
-// over Frames, never exceeding Cores × wall time.
+// over Frames. Cores and Utilization use the configured core count, so
+// under a compute_scale schedule that grows the pool Utilization can
+// exceed 1; BusySec never exceeds the pool's core count integrated over
+// the run.
 type ComputeStats struct {
 	Cores      int
 	Discipline string
@@ -257,15 +260,6 @@ func newResult(sc Scenario) *Result {
 	return res
 }
 
-// percentile returns the q-quantile (0..1) of sorted by nearest rank —
-// the element of 1-based rank ⌈q·n⌉ (quantile.NearestRank, the one
-// definition shared with internal/fleet/fl). The floor-biased
-// int(q·(n−1)) expression this delegated away read the tail one sample
-// low: p95 of 105 samples was index 98 instead of rank 100.
-func percentile(sorted []float64, q float64) float64 {
-	return quantile.NearestRank(sorted, q)
-}
-
 // finalize computes percentiles and the fleet-wide Total from the
 // per-class accumulators, in class order so results are reproducible.
 // With a streaming collector the quantiles come from its run-wide
@@ -289,9 +283,9 @@ func (r *Result) finalize(tel *collector) {
 			s.LatencyP50, s.LatencyP95, s.LatencyP99 = perClass[i][0], perClass[i][1], perClass[i][2]
 		} else {
 			sort.Float64s(s.latencies)
-			s.LatencyP50 = percentile(s.latencies, 0.50)
-			s.LatencyP95 = percentile(s.latencies, 0.95)
-			s.LatencyP99 = percentile(s.latencies, 0.99)
+			s.LatencyP50 = quantile.NearestRank(s.latencies, 0.50)
+			s.LatencyP95 = quantile.NearestRank(s.latencies, 0.95)
+			s.LatencyP99 = quantile.NearestRank(s.latencies, 0.99)
 			all = append(all, s.latencies...)
 		}
 
@@ -312,9 +306,9 @@ func (r *Result) finalize(tel *collector) {
 		return
 	}
 	sort.Float64s(all)
-	r.Total.LatencyP50 = percentile(all, 0.50)
-	r.Total.LatencyP95 = percentile(all, 0.95)
-	r.Total.LatencyP99 = percentile(all, 0.99)
+	r.Total.LatencyP50 = quantile.NearestRank(all, 0.50)
+	r.Total.LatencyP95 = quantile.NearestRank(all, 0.95)
+	r.Total.LatencyP99 = quantile.NearestRank(all, 0.99)
 	r.Total.latencies = all
 }
 
@@ -452,4 +446,144 @@ func (r *Result) Table() string {
 		fmt.Fprintln(&b)
 	}
 	return b.String()
+}
+
+// result assembles the Result once the event loop has drained: run end,
+// federated and dynamics accounting, per-tier stats, placement
+// histograms, telemetry and the fleet-wide energy rollup. It consumes the
+// engine, dropping each part once it is folded in, so the garbage
+// collector can reclaim it while the quantile queries allocate: the
+// loop's storage first, the pools' wait sketches after the tier stats,
+// the collector after finalize.
+func (e *engine) result() *Result {
+	e.events, e.transfers, e.freeIDs, e.links.h = nil, nil, nil, nil
+	res := e.res
+	if res.SimEnd < e.sc.Duration {
+		res.SimEnd = e.sc.Duration
+	}
+	if e.fle != nil {
+		res.Federated = e.fle.Stats()
+		// The final broadcast can deliver after the last frame drains;
+		// the run ends when both have.
+		if res.Federated.DoneAt > res.SimEnd {
+			res.SimEnd = res.Federated.DoneAt
+		}
+	}
+	if dyn := e.dyn; dyn != nil {
+		// A tier still down at the end accrues downtime to the run's end.
+		for i := range e.nodes {
+			if dyn.down[i] {
+				if d := res.SimEnd - dyn.downAt[i]; d > 0 {
+					dyn.downtime[i] += d
+				}
+				dyn.down[i] = false
+			}
+		}
+	}
+	for i := range e.nodes {
+		res.Tiers = append(res.Tiers, e.tierStats(i))
+	}
+	e.compWait = nil
+	// The top-tier utilization is the root tier's, found by name: tier
+	// order is stable today, but the name is the contract.
+	if rt := res.TierNamed(e.nodes[e.root].Name); rt != nil {
+		res.UplinkUtilization = rt.Utilization
+	}
+	for ci := range e.sc.Classes {
+		cl := &e.sc.Classes[ci]
+		if len(cl.Placements) == 0 {
+			continue
+		}
+		hist := make([]int, len(cl.Placements))
+		for _, idx := range e.classCams[ci] {
+			hist[e.cams[idx].placement]++
+		}
+		res.Classes[ci].PlacementCounts = hist
+		if e.ctls[ci] != nil {
+			res.Classes[ci].Switches = e.ctls[ci].moves
+		}
+	}
+	if e.tel != nil {
+		e.tel.finish(res.SimEnd)
+		res.TimeSeries = e.tel.series
+	}
+	res.finalize(e.tel)
+	e.tel = nil
+	for _, ti := range res.Tiers {
+		res.Energy.NetworkJ += ti.ForwardJ
+	}
+	res.Energy.CameraJ = res.Total.EnergyJ
+	if res.SimEnd > 0 {
+		res.Energy.AvgPowerW = (res.Energy.CameraJ + res.Energy.NetworkJ) / res.SimEnd
+	}
+	res.Energy.ProjectedW = projectedPowerW(&e.sc, e.rowJ, e.cams, e.classCams)
+	if e.gctl != nil {
+		st := e.gctl.stats
+		res.Global = &st
+		res.Total.Switches += st.Moves
+	}
+	if e.dyn != nil {
+		st := e.dyn.stats
+		res.Dynamics = &st
+	}
+	return res
+}
+
+// tierStats is tier i's accounting over the finished run: its uplink,
+// its downlink and its core pool, when it declares them.
+func (e *engine) tierStats(i int) TierStats {
+	nd := &e.nodes[i]
+	simEnd := e.res.SimEnd
+	up := e.links.links[i]
+	ts := TierStats{
+		Name:           nd.Name,
+		Parent:         nd.Parent,
+		Depth:          nd.depth,
+		Gbps:           nd.Uplink.Gbps,
+		Contention:     nd.Uplink.Contention,
+		PropagationSec: nd.PropagationSec,
+		ServedBytes:    up.ServedBytes(),
+		Transfers:      e.links.finished[i],
+		Utilization:    utilization(up.ServedBytes(), nd.Uplink.BytesPerSecond(), simEnd),
+		TxPerByteJ:     nd.TxPerByteJ,
+		ForwardJ:       up.ServedBytes() * nd.TxPerByteJ,
+	}
+	if e.flUpBytes != nil {
+		ts.FLUpBytes = e.flUpBytes[i]
+	}
+	if e.dyn != nil {
+		ts.DowntimeSec = e.dyn.downtime[i]
+		ts.OutageDrops = e.dyn.outageDrops[i]
+	}
+	if d := nd.Downlink; d != nil {
+		li := e.downLink[i]
+		dl := e.links.links[li]
+		ts.DownGbps = d.Gbps
+		ts.DownContention = d.Contention
+		ts.DownPropagationSec = d.PropagationSec
+		ts.DownServedBytes = dl.ServedBytes()
+		ts.DownTransfers = e.links.finished[li]
+		ts.DownlinkUtilization = utilization(dl.ServedBytes(), d.BytesPerSecond(), simEnd)
+	}
+	if li := e.compLink[i]; li >= 0 {
+		cc := nd.Compute
+		// Once the run drains, a pool's served "bytes" are exactly the
+		// core-seconds it was busy (the conservation the property tests
+		// pin), so utilization is busy-share of configured cores × wall
+		// time.
+		busy := e.links.links[li].ServedBytes()
+		cs := &ComputeStats{
+			Cores:       cc.Cores,
+			Discipline:  cc.Discipline,
+			Frames:      e.links.finished[li],
+			BusySec:     busy,
+			Utilization: utilization(busy, float64(cc.Cores), simEnd),
+		}
+		if s := e.compWait[i]; s.Count() > 0 {
+			cs.WaitP50 = s.Quantile(0.50)
+			cs.WaitP95 = s.Quantile(0.95)
+		}
+		ts.Compute = cs
+	}
+	return ts
 }

@@ -353,3 +353,23 @@ func (tel *collector) quantiles() (perClass [][3]float64, total [3]float64) {
 	total = [3]float64{all.Quantile(0.50), all.Quantile(0.95), all.Quantile(0.99)}
 	return perClass, total
 }
+
+// linkLabels names and sizes every link for the time series, in link
+// order. A pool's "capacity" is cores×1 core-seconds per second, so the
+// shared utilization math reports busy fraction.
+func (e *engine) linkLabels() ([]string, []float64) {
+	labels := make([]string, len(e.owner))
+	caps := make([]float64, len(e.owner))
+	for li, ti := range e.owner {
+		nd := &e.nodes[ti]
+		switch {
+		case li >= e.poolBase:
+			labels[li], caps[li] = nd.Name+":compute", float64(nd.Compute.Cores)
+		case li >= len(e.nodes):
+			labels[li], caps[li] = nd.Name+":down", nd.Downlink.BytesPerSecond()
+		default:
+			labels[li], caps[li] = nd.Name, nd.Uplink.BytesPerSecond()
+		}
+	}
+	return labels, caps
+}

@@ -38,10 +38,6 @@ type Link interface {
 	ServedBytes() float64
 }
 
-// Uplink is the historical name of Link, kept for existing callers from
-// when the simulator only modeled the leaf→root direction.
-type Uplink = Link
-
 // NewLink builds the named contention model over a capacity in bytes/sec.
 func NewLink(model string, bytesPerSec float64) (Link, error) {
 	if bytesPerSec <= 0 {
@@ -56,11 +52,6 @@ func NewLink(model string, bytesPerSec float64) (Link, error) {
 	return nil, fmt.Errorf("fleet: unknown contention model %q", model)
 }
 
-// NewUplink is NewLink under its historical name.
-func NewUplink(model string, bytesPerSec float64) (Link, error) {
-	return NewLink(model, bytesPerSec)
-}
-
 // --- FIFO ---
 
 type fifoItem struct {
@@ -68,16 +59,42 @@ type fifoItem struct {
 	bytes float64
 }
 
+// fifoRing is a FIFO queue of transfers in a ring buffer sized by the
+// peak concurrent backlog: the earlier queue = queue[1:] pop pinned every
+// already-served head in the backing array for the life of the run,
+// leaking one fifoItem per transfer. The capacity is always a power of
+// two (4, then doubled), so index wrap-around is a mask rather than an
+// integer modulo on the hot path.
+type fifoRing struct {
+	ring    []fifoItem // circular: n live items starting at head
+	head, n int
+}
+
+func (r *fifoRing) push(it fifoItem) {
+	if r.n == len(r.ring) {
+		grown := make([]fifoItem, max(4, 2*len(r.ring)))
+		mask := len(r.ring) - 1
+		for i := 0; i < r.n; i++ {
+			grown[i] = r.ring[(r.head+i)&mask]
+		}
+		r.ring, r.head = grown, 0
+	}
+	r.ring[(r.head+r.n)&(len(r.ring)-1)] = it
+	r.n++
+}
+
+func (r *fifoRing) pop() fifoItem {
+	it := r.ring[r.head]
+	r.head = (r.head + 1) & (len(r.ring) - 1)
+	r.n--
+	return it
+}
+
 // fifoUplink serializes transfers in arrival order; the head transfer gets
 // the full capacity. A large frame head-of-line-blocks everything behind it.
-//
-// The queue is a ring buffer sized by the peak concurrent backlog: the
-// earlier queue = queue[1:] pop pinned every already-served head in the
-// backing array for the life of the run, leaking one fifoItem per transfer.
 type fifoUplink struct {
+	fifoRing
 	cap        float64
-	ring       []fifoItem // circular: n live items starting at head
-	head, n    int
 	headFinish float64 // completion time of the head item, valid when n > 0
 	// headRem is the head item's remaining bytes, maintained only while
 	// the link's capacity is zero (a dynamics outage) — headFinish is
@@ -88,28 +105,6 @@ type fifoUplink struct {
 }
 
 func (u *fifoUplink) Name() string { return ContentionFIFO }
-
-// The ring capacity is always a power of two (4, then doubled), so index
-// wrap-around is a mask rather than an integer modulo on the hot path.
-func (u *fifoUplink) push(it fifoItem) {
-	if u.n == len(u.ring) {
-		grown := make([]fifoItem, max(4, 2*len(u.ring)))
-		mask := len(u.ring) - 1
-		for i := 0; i < u.n; i++ {
-			grown[i] = u.ring[(u.head+i)&mask]
-		}
-		u.ring, u.head = grown, 0
-	}
-	u.ring[(u.head+u.n)&(len(u.ring)-1)] = it
-	u.n++
-}
-
-func (u *fifoUplink) pop() fifoItem {
-	it := u.ring[u.head]
-	u.head = (u.head + 1) & (len(u.ring) - 1)
-	u.n--
-	return it
-}
 
 func (u *fifoUplink) Start(now float64, id int, bytes float64) {
 	if u.n == 0 {
