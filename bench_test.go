@@ -1,6 +1,6 @@
 // Benchmarks regenerating the computational kernels behind every table and
-// figure of the paper (one benchmark family per experiment ID; see
-// DESIGN.md §4). Run with:
+// figure of the paper (one benchmark family per experiment ID, numbered
+// as in cmd/camsim). Run with:
 //
 //	go test -bench=. -benchmem .
 package camsim_test

@@ -294,7 +294,7 @@ func cmdLinkSweep(args []string) error {
 	raw400, _ := p.Evaluate(core.Placement{}, platform.Ethernet400G.BytesPerSecond())
 	fmt.Printf("\nraw offload reaches 30 FPS at %.1f Gb/s; at 400 GbE it uploads %.0f FPS\n", gbps, raw400.TotalFPS)
 	fmt.Println("(paper reports 395 FPS at 400 GbE for the 8-bit 126.6 MB rig output; our 12-bit")
-	fmt.Println(" raw model gives 253 FPS — see EXPERIMENTS.md for the reconciliation)")
+	fmt.Println(" raw model gives 253 FPS)")
 	return nil
 }
 

@@ -32,7 +32,7 @@
 // cover. CI's lint job and the nightly matrix both run
 // `go run ./cmd/fleetvet ./...` and fail on any diagnostic.
 //
-// See DESIGN.md for the system inventory, EXPERIMENTS.md for
-// paper-vs-measured results, and cmd/camsim for the experiment driver
-// that regenerates every table and figure.
+// See ARCHITECTURE.md for the map across packages, integration_test.go
+// for the paper's headline claims checked end to end, and cmd/camsim for
+// the experiment CLI that regenerates every table and figure.
 package camsim

@@ -67,6 +67,35 @@ func BenchmarkDeepTopology(b *testing.B) {
 	b.ReportMetric(float64(frames)/float64(b.N), "frames/run")
 }
 
+// BenchmarkEventHeap is the event queue's own microbenchmark, a hold
+// model at a fixed population: one op pops the earliest event and pushes
+// it back one ExpFloat64 gap later under a fresh seq, the steady state of
+// a fleet whose every camera keeps one capture pending. The 100k case is
+// BenchmarkHugeFleet's heap size, larger than L2; ns/op is the cost of
+// one hold, and the heap never regrows, so allocs/op must read 0.
+func BenchmarkEventHeap(b *testing.B) {
+	for _, n := range []int{1_000, 100_000} {
+		b.Run(fmt.Sprintf("%dk", n/1000), func(b *testing.B) {
+			rng := newPRNG(1)
+			h := make(eventHeap, 0, n)
+			var seq uint64
+			for i := 0; i < n; i++ {
+				h.push(event{t: rng.ExpFloat64(), key: seq<<kindBits | evCapture, a: int32(i)})
+				seq++
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ev := h.pop()
+				ev.t += rng.ExpFloat64()
+				ev.key = seq<<kindBits | evCapture
+				seq++
+				h.push(ev)
+			}
+		})
+	}
+}
+
 // BenchmarkHugeFleet is the 100k-camera scale point: the same 41-link
 // deep topology with 10× the population over a shorter horizon, so one
 // iteration is a full run at the fleet size the ROADMAP targets. The

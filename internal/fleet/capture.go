@@ -30,7 +30,7 @@ func (e *engine) spawnCamera(ci int, t float64) {
 	e.cams = append(e.cams, c)
 	e.classCams[ci] = append(e.classCams[ci], int32(idx))
 	if t+first < e.sc.Duration {
-		e.push(event{t: t + first, kind: evCapture, cam: int32(idx)})
+		e.push(t+first, evCapture, int32(idx), 0)
 	}
 }
 
@@ -44,8 +44,10 @@ func (e *engine) nextCapture(c *camera, now float64) float64 {
 }
 
 // capture takes one frame on camera camIdx at time t: it pays the
-// frame's energy, applies queue-depth backpressure, and schedules the
-// offload's evReady once in-camera compute finishes.
+// frame's energy, applies queue-depth backpressure, and creates an
+// offload's transfer — its capture time and payload, fixed now so a
+// placement switch mid-flight cannot retroactively resize the frame —
+// whose evReady fires once in-camera compute finishes.
 func (e *engine) capture(t float64, camIdx int32) {
 	c := &e.cams[camIdx]
 	cl := &e.sc.Classes[c.class]
@@ -105,7 +107,8 @@ func (e *engine) capture(t float64, camIdx int32) {
 	}
 	if offload {
 		c.inflight++
-		e.push(event{t: t + computeSec, kind: evReady, cam: camIdx, capturedAt: t, bytes: frameBytes})
+		id := e.newTransfer(transfer{cam: camIdx, capturedAt: t, bytes: frameBytes})
+		e.push(t+computeSec, evReady, 0, int32(id))
 	}
 }
 

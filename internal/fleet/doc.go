@@ -397,13 +397,19 @@
 // 100k cameras over 41 links; BenchmarkDeepTopology pins the 10k shape,
 // both gated in CI by cmd/benchgate against BENCH_topology.json):
 //
-//   - Per-event cost: one pop from the specialized event heap (O(log
-//     events), no interface boxing — container/heap cost one allocation
-//     per Push), plus O(log n) fair-share virtual-time accounting on the
-//     link (psHeap) and O(log links) completion lookup (liHeap). All
-//     three heaps preserve container/heap's exact pop order, proven
-//     differentially by TestHeapsMatchContainerHeap. The FIFO discipline
-//     keeps a power-of-two ring, so wrap-around is a mask, not a modulo.
+//   - Per-event cost: one pop from the event heap, a 4-ary min-heap of
+//     24-byte events (O(log₄ events) levels, no interface boxing —
+//     container/heap cost one allocation per Push), plus O(log n)
+//     fair-share virtual-time accounting on the link (psHeap) and
+//     O(log links) completion lookup (liHeap). An event is its time, one
+//     word packing the scheduling seq over a 4-bit kind, and two int32
+//     payload words; a frame's capture time and payload live in its
+//     transfer record, created at capture. Sifts carry a hole, moving one
+//     event per level instead of swapping two, and 100k pending events
+//     take 2.4 MB. All three heaps preserve container/heap's exact pop
+//     order, proven differentially by TestHeapsMatchContainerHeap. The
+//     FIFO discipline keeps a power-of-two ring, so wrap-around is a
+//     mask, not a modulo.
 //   - Memory model: each camera embeds its random stream by value — an
 //     8-byte splitmix64 state (prng) instead of a *rand.Rand whose
 //     lagged-Fibonacci source is ~5 KB of heap per camera — so 100k

@@ -496,7 +496,7 @@ func (e *engine) fire(t float64, i int) {
 	}
 	if fe.EverySec > 0 {
 		if nt := t + dyn.rngs[i].ExpFloat64()*fe.EverySec; nt < e.sc.Duration {
-			e.push(event{t: nt, kind: evDynamics, tr: i})
+			e.push(nt, evDynamics, 0, int32(i))
 		}
 	}
 }

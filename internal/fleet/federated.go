@@ -27,7 +27,7 @@ func (e *engine) startFederated() {
 	}
 	for pi := range e.flParts {
 		p := &e.flParts[pi]
-		e.push(event{t: f.ComputeSec + f.JitterSec*p.rng.Float64(), kind: evFLReady, cam: int32(pi), tr: 1})
+		e.push(f.ComputeSec+f.JitterSec*p.rng.Float64(), evFLReady, int32(pi), 1)
 	}
 }
 
@@ -81,7 +81,7 @@ func (e *engine) flDeliver(t float64, ti, id int) {
 		f := e.sc.Federated
 		for _, pi := range e.flByTier[ti] {
 			p := &e.flParts[pi]
-			e.push(event{t: t + f.ComputeSec + f.JitterSec*p.rng.Float64(), kind: evFLReady, cam: pi, tr: round + 1})
+			e.push(t+f.ComputeSec+f.JitterSec*p.rng.Float64(), evFLReady, pi, int32(round+1))
 		}
 	}
 }

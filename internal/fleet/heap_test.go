@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"container/heap"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -25,20 +26,20 @@ func (h *refHeap[T]) Pop() any {
 	return x
 }
 
-// drive feeds an identical randomized push/pop interleaving (~60% pushes,
-// then a full drain) through the specialized heap and the container/heap
-// reference, comparing every popped element. The comparators impose a
-// total order (unique tie-break keys), so the pop sequences must be
-// identical element for element — the property that makes the heap swap
+// drive feeds an identical randomized push/pop interleaving (ops steps
+// at pushP pushes per step, then a full drain) through the specialized
+// heap and the container/heap reference, comparing every popped element,
+// and returns the peak size. The comparators impose a total order
+// (unique tie-break keys), so the pop sequences must be identical
+// element for element — the property that makes the heap swap
 // output-invariant.
-func drive[T comparable](t *testing.T, rng *rand.Rand, gen func(i int) T,
-	less func(a, b T) bool, push func(T), pop func() T, size func() int) {
+func drive[T comparable](t *testing.T, rng *rand.Rand, ops int, pushP float64, gen func(i int) T,
+	less func(a, b T) bool, push func(T), pop func() T, size func() int) (peak int) {
 	t.Helper()
 	ref := &refHeap[T]{less: less}
-	const ops = 4000
 	pushed := 0
 	for i := 0; i < ops; i++ {
-		if ref.Len() == 0 || rng.Float64() < 0.6 {
+		if ref.Len() == 0 || rng.Float64() < pushP {
 			it := gen(pushed)
 			pushed++
 			push(it)
@@ -52,6 +53,7 @@ func drive[T comparable](t *testing.T, rng *rand.Rand, gen func(i int) T,
 		if size() != ref.Len() {
 			t.Fatalf("op %d: size %d, reference %d", i, size(), ref.Len())
 		}
+		peak = max(peak, size())
 	}
 	for ref.Len() > 0 {
 		got, want := pop(), heap.Pop(ref).(T)
@@ -62,6 +64,29 @@ func drive[T comparable](t *testing.T, rng *rand.Rand, gen func(i int) T,
 	if size() != 0 {
 		t.Fatalf("specialized heap retains %d items after drain", size())
 	}
+	return peak
+}
+
+// payloadWords are the event payload values the lockstep draws from:
+// the int32 extremes and their neighbours, plus small indexes.
+var payloadWords = []int32{math.MinInt32, math.MinInt32 + 1, -1, 0, 1, 7, math.MaxInt32 - 1, math.MaxInt32}
+
+// genEvent draws the i-th pushed event: a time from times, any of the
+// ten kinds, and payload words from payloadWords. Its seq is i, the seq
+// the engine assigns to its i-th push.
+func genEvent(rng *rand.Rand, times []float64, i int) event {
+	return event{
+		t:   times[rng.Intn(len(times))],
+		key: uint64(i)<<kindBits | uint64(rng.Intn(evDynamics+1)),
+		a:   payloadWords[rng.Intn(len(payloadWords))],
+		b:   payloadWords[rng.Intn(len(payloadWords))],
+	}
+}
+
+// eventOrder is the (t, seq) order the event loop relies on.
+func eventOrder(a, b event) bool {
+	sa, sb := a.key>>kindBits, b.key>>kindBits
+	return a.t < b.t || (a.t == b.t && sa < sb)
 }
 
 // TestHeapsMatchContainerHeap is the differential property test behind
@@ -73,28 +98,45 @@ func TestHeapsMatchContainerHeap(t *testing.T) {
 	// the tie-break keys do real work.
 	times := []float64{0, 0.25, 0.25, 1, 1, 1, 2.5, 7}
 
+	// Events go in through engine.push, which packs the key itself, so
+	// an event popped equal to the reference's also proves that its
+	// time, kind, seq and both payload words survive the packing.
 	t.Run("eventHeap", func(t *testing.T) {
 		rng := rand.New(rand.NewSource(101))
-		var h eventHeap
-		drive(t, rng,
-			func(i int) event {
-				return event{
-					t:    times[rng.Intn(len(times))],
-					seq:  int64(i), // unique: the loop's scheduling counter
-					kind: rng.Intn(6),
-					cam:  int32(rng.Intn(50)),
-				}
-			},
-			func(a, b event) bool { return a.t < b.t || (a.t == b.t && a.seq < b.seq) },
-			func(ev event) { h.push(ev) },
-			func() event { return h.pop() },
-			func() int { return len(h) })
+		var e engine
+		drive(t, rng, 4000, 0.6,
+			func(i int) event { return genEvent(rng, times, i) },
+			eventOrder,
+			func(ev event) { e.push(ev.t, ev.kind(), ev.a, ev.b) },
+			func() event { return e.events.pop() },
+			func() int { return len(e.events) })
+	})
+
+	// The deep regime grows the heap past 20k events, so sifts run
+	// through at least seven 4-ary levels below the root, with
+	// continuous times mixed into the tie-heavy set.
+	t.Run("eventHeapDeep", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(104))
+		var e engine
+		deep := append([]float64{}, times...)
+		for len(deep) < 64 {
+			deep = append(deep, 10*rng.Float64())
+		}
+		peak := drive(t, rng, 40000, 0.78,
+			func(i int) event { return genEvent(rng, deep, i) },
+			eventOrder,
+			func(ev event) { e.push(ev.t, ev.kind(), ev.a, ev.b) },
+			func() event { return e.events.pop() },
+			func() int { return len(e.events) })
+		if peak <= 20000 {
+			t.Fatalf("peak heap size %d, want > 20000", peak)
+		}
 	})
 
 	t.Run("psHeap", func(t *testing.T) {
 		rng := rand.New(rand.NewSource(102))
 		var h psHeap
-		drive(t, rng,
+		drive(t, rng, 4000, 0.6,
 			func(i int) psItem {
 				return psItem{
 					id:      i,
@@ -114,7 +156,7 @@ func TestHeapsMatchContainerHeap(t *testing.T) {
 	t.Run("liHeap", func(t *testing.T) {
 		rng := rand.New(rand.NewSource(103))
 		var h liHeap
-		drive(t, rng,
+		drive(t, rng, 4000, 0.6,
 			func(i int) liEntry {
 				// li is the unique tie-break here; in production stale
 				// entries can tie a live one exactly, but peek's result is

@@ -35,76 +35,97 @@ const (
 	evDynamics
 )
 
+// kindBits is the width of the kind field in event.key; the guard below
+// fails to compile once a new kind no longer fits.
+const kindBits = 4
+
+const _ uint = 1<<kindBits - 1 - evDynamics
+
+// event is one scheduled event, packed into 24 bytes so that a heap
+// sift moves as little memory as possible. key is seq<<kindBits | kind:
+// seq is the engine's unique scheduling counter, so ordering on (t, key)
+// is exactly the (t, seq) order — earlier-scheduled events fire first at
+// equal times — and the kind rides along for free.
+//
+// a and b are the payload words. a is the camera (evCapture), class
+// (evControl), federated participant (evFLReady) or tier link (evHop,
+// evFLUp, evFLDeliver). b is the transfer id (evReady, evHop, evArrive,
+// evFLUp, evFLDeliver), the federated round (evFLReady) or the fault
+// schedule entry (evDynamics). A propagating transfer b arrives at tier
+// a and starts transmission there (evHop), lands in the cloud (evArrive),
+// is absorbed for aggregation above uplink a (evFLUp), or is delivered
+// at tier a (evFLDeliver). A frame's capture time and payload travel in
+// its transfer record, created at capture (engine.capture).
 type event struct {
-	t    float64
-	seq  int64 // tie-break: earlier-scheduled events fire first
-	kind int
-	cam  int32 // camera index (evCapture, evReady), class index (evControl) or federated participant index (evFLReady)
-	// capturedAt is the frame's capture time (evReady), the latency epoch.
-	capturedAt float64
-	// bytes is the offload payload, fixed at capture time (evReady) so a
-	// placement switch mid-flight cannot retroactively resize a frame.
-	bytes float64
-	// tr and link carry a propagating transfer: at t, transfer tr arrives
-	// at tier link and starts transmission there (evHop), lands in the
-	// cloud (evArrive, link unused), is absorbed for aggregation above
-	// uplink link (evFLUp), or is delivered at tier link (evFLDeliver).
-	// evFLReady reuses tr as the federated round number.
-	tr   int
-	link int32
+	t   float64
+	key uint64
+	a   int32
+	b   int32
 }
 
-// eventHeap is a specialized binary min-heap ordered by (t, seq). The
-// sift-up/sift-down moves mirror container/heap's exactly — the seq
-// tie-break makes the order total, so the pop sequence is provably
-// identical (TestHeapsMatchContainerHeap) — but push and pop move event
-// values directly instead of boxing each one through an interface, which
-// cost one heap allocation per scheduled event.
+func (ev *event) kind() int { return int(ev.key & (1<<kindBits - 1)) }
+
+// eventHeap is a specialized 4-ary min-heap ordered by (t, key). Since
+// the key is unique the order is total, so the pop sequence is provably
+// the one container/heap produces (TestHeapsMatchContainerHeap), while
+// push and pop move event values directly instead of boxing each one
+// through an interface. Four children per node halve the tree's depth
+// against a binary heap, and the sifts carry a hole: each level moves
+// one event instead of swapping two, and the sifted event is written
+// once at the end.
 type eventHeap []event
 
-func (h eventHeap) less(i, j int) bool {
-	if h[i].t != h[j].t {
-		return h[i].t < h[j].t
+func (eventHeap) less(x, y *event) bool {
+	if x.t != y.t {
+		return x.t < y.t
 	}
-	return h[i].seq < h[j].seq
+	return x.key < y.key
 }
 
 func (h *eventHeap) push(ev event) {
 	s := append(*h, ev)
 	j := len(s) - 1
 	for j > 0 {
-		i := (j - 1) / 2
-		if !s.less(j, i) {
+		p := (j - 1) / 4
+		if !s.less(&ev, &s[p]) {
 			break
 		}
-		s[i], s[j] = s[j], s[i]
-		j = i
+		s[j] = s[p]
+		j = p
 	}
+	s[j] = ev
 	*h = s
 }
 
 func (h *eventHeap) pop() event {
 	s := *h
+	top := s[0]
 	n := len(s) - 1
-	s[0], s[n] = s[n], s[0]
+	last := s[n]
+	s = s[:n]
 	i := 0
 	for {
-		j := 2*i + 1
-		if j >= n {
+		c := 4*i + 1
+		if c >= n {
 			break
 		}
-		if j2 := j + 1; j2 < n && s.less(j2, j) {
-			j = j2
+		m := c
+		for k, end := c+1, min(c+4, n); k < end; k++ {
+			if s.less(&s[k], &s[m]) {
+				m = k
+			}
 		}
-		if !s.less(j, i) {
+		if !s.less(&s[m], &last) {
 			break
 		}
-		s[i], s[j] = s[j], s[i]
-		i = j
+		s[i] = s[m]
+		i = m
 	}
-	ev := s[n]
-	*h = s[:n]
-	return ev
+	if n > 0 {
+		s[i] = last
+	}
+	*h = s
+	return top
 }
 
 // camera is one simulated device. The random stream is embedded by value:
@@ -130,9 +151,9 @@ type camera struct {
 // downlink (cam -1).
 type transfer struct {
 	cam        int32
+	round      int32
 	capturedAt float64
 	bytes      float64
-	round      int32
 	// compAt is when the frame entered the compute pool it currently
 	// occupies (scenarios with per-tier compute only), the epoch its
 	// queueing wait is measured from.
@@ -265,10 +286,12 @@ type engine struct {
 	flByTier  [][]int32
 
 	events eventHeap
-	seq    int64 // next event's tie-break sequence number
-	// Transfer ids are recycled through a free list the moment a transfer
-	// completes, so transfers scales with the peak in-flight population
-	// instead of growing one slot per frame for the life of the run.
+	seq    uint64 // next event's tie-break sequence number
+	// A frame's transfer is created at capture and a federated blob's as
+	// it enters a link. Transfer ids are recycled through a free list the
+	// moment a transfer completes, so transfers scales with the peak
+	// in-flight population instead of growing one slot per frame for the
+	// life of the run.
 	// Recycling cannot perturb results: a completed id is referenced
 	// nowhere (not in any link, not in any pending event), and no output
 	// ordering keys off id values.
@@ -457,31 +480,31 @@ func (e *engine) seedEvents() {
 			e.spawnCamera(ci, 0)
 		}
 		if e.ctls[ci] != nil && cl.Policy.IntervalSec < sc.Duration {
-			e.push(event{t: cl.Policy.IntervalSec, kind: evControl, cam: int32(ci)})
+			e.push(cl.Policy.IntervalSec, evControl, int32(ci), 0)
 		}
 	}
 	if e.gctl != nil && sc.Global.EpochSec < sc.Duration {
-		e.push(event{t: sc.Global.EpochSec, kind: evGlobal})
+		e.push(sc.Global.EpochSec, evGlobal, 0, 0)
 	}
 	if e.fle != nil {
 		e.startFederated()
 	}
 	if e.dyn != nil {
-		// The whole schedule is pushed up front (evDynamics reuses tr as
-		// the entry index), so same-time entries fire in declaration order
+		// The whole schedule is pushed up front (evDynamics carries the
+		// entry index), so same-time entries fire in declaration order
 		// via the seq tie-break. Entries past Duration still fire — the
 		// drain phase is part of the run.
 		for i := range e.dyn.events {
-			e.push(event{t: e.dyn.events[i].Time, kind: evDynamics, tr: i})
+			e.push(e.dyn.events[i].Time, evDynamics, 0, int32(i))
 		}
 	}
 }
 
-// push schedules ev behind every earlier-pushed event at the same time.
-func (e *engine) push(ev event) {
-	ev.seq = e.seq
+// push schedules an event of the given kind and payload (see event) at
+// t, behind every earlier-pushed event at the same time.
+func (e *engine) push(t float64, kind int, a, b int32) {
+	e.events.push(event{t: t, key: e.seq<<kindBits | uint64(kind), a: a, b: b})
 	e.seq++
-	e.events.push(ev)
 }
 
 // loop runs the simulation until no event remains and no link holds a
@@ -507,47 +530,47 @@ func (e *engine) loop() error {
 		if e.tel != nil {
 			e.tel.advance(ev.t)
 		}
-		switch ev.kind {
+		switch ev.kind() {
 		case evCapture:
-			if e.cams[ev.cam].departed {
+			if e.cams[ev.a].departed {
 				break
 			}
-			e.capture(ev.t, ev.cam)
-			if nt := e.nextCapture(&e.cams[ev.cam], ev.t); nt < e.sc.Duration {
-				e.push(event{t: nt, kind: evCapture, cam: ev.cam})
+			e.capture(ev.t, ev.a)
+			if nt := e.nextCapture(&e.cams[ev.a], ev.t); nt < e.sc.Duration {
+				e.push(nt, evCapture, ev.a, 0)
 			}
 		case evReady:
-			id := e.newTransfer(transfer{cam: ev.cam, capturedAt: ev.capturedAt, bytes: ev.bytes})
-			e.enterTier(ev.t, e.firstHop[e.cams[ev.cam].class], id)
+			id := int(ev.b)
+			e.enterTier(ev.t, e.firstHop[e.cams[e.transfers[id].cam].class], id)
 		case evHop:
-			e.enterTier(ev.t, int(ev.link), ev.tr)
+			e.enterTier(ev.t, int(ev.a), int(ev.b))
 		case evArrive:
-			e.complete(ev.t, ev.tr)
+			e.complete(ev.t, int(ev.b))
 		case evControl:
-			ci := int(ev.cam)
+			ci := int(ev.a)
 			cl := &e.sc.Classes[ci]
 			ctl := e.ctls[ci]
 			if dir := ctl.decide(cl, e.cams, e.classCams[ci]); dir != 0 {
 				ctl.move(cl, e.cams, e.classCams[ci], dir)
 			}
 			if nt := ev.t + cl.Policy.IntervalSec; nt < e.sc.Duration {
-				e.push(event{t: nt, kind: evControl, cam: ev.cam})
+				e.push(nt, evControl, ev.a, 0)
 			}
 		case evGlobal:
 			e.gctl.epoch(ev.t, &e.sc, e.cams, e.classCams)
 			if nt := ev.t + e.sc.Global.EpochSec; nt < e.sc.Duration {
-				e.push(event{t: nt, kind: evGlobal})
+				e.push(nt, evGlobal, 0, 0)
 			}
 		case evFLReady:
-			e.flReady(ev.t, ev.cam, ev.tr)
+			e.flReady(ev.t, ev.a, int(ev.b))
 		case evFLUp:
-			e.flAbsorb(ev.t, int(ev.link), ev.tr)
+			e.flAbsorb(ev.t, int(ev.a), int(ev.b))
 		case evFLDeliver:
-			e.flDeliver(ev.t, int(ev.link), ev.tr)
+			e.flDeliver(ev.t, int(ev.a), int(ev.b))
 		case evDynamics:
-			e.fire(ev.t, ev.tr)
+			e.fire(ev.t, int(ev.b))
 		default:
-			return fmt.Errorf("fleet: unknown event kind %d", ev.kind)
+			return fmt.Errorf("fleet: unknown event kind %d", ev.kind())
 		}
 	}
 	return nil

@@ -50,7 +50,7 @@ func (e *engine) linkDone(li int, lt float64) {
 		if d := e.nodes[ti].Downlink; d.PropagationSec == 0 {
 			e.flDeliver(lt, ti, id)
 		} else {
-			e.push(event{t: lt + d.PropagationSec, kind: evFLDeliver, tr: id, link: int32(ti)})
+			e.push(lt+d.PropagationSec, evFLDeliver, int32(ti), int32(id))
 		}
 	default:
 		e.uplinkDone(lt, li, id)
@@ -69,7 +69,7 @@ func (e *engine) uplinkDone(lt float64, li, id int) {
 		if nd.PropagationSec == 0 {
 			e.flAbsorb(lt, li, id)
 		} else {
-			e.push(event{t: lt + nd.PropagationSec, kind: evFLUp, tr: id, link: int32(li)})
+			e.push(lt+nd.PropagationSec, evFLUp, int32(li), int32(id))
 		}
 		return
 	}
@@ -80,7 +80,7 @@ func (e *engine) uplinkDone(lt float64, li, id int) {
 		if nd.PropagationSec == 0 {
 			e.enterTier(lt, nd.parent, id)
 		} else {
-			e.push(event{t: lt + nd.PropagationSec, kind: evHop, tr: id, link: int32(nd.parent)})
+			e.push(lt+nd.PropagationSec, evHop, int32(nd.parent), int32(id))
 		}
 		return
 	}
@@ -91,7 +91,7 @@ func (e *engine) uplinkDone(lt float64, li, id int) {
 	if nd.PropagationSec == 0 {
 		e.complete(lt, id)
 	} else {
-		e.push(event{t: lt + nd.PropagationSec, kind: evArrive, tr: id})
+		e.push(lt+nd.PropagationSec, evArrive, 0, int32(id))
 	}
 }
 

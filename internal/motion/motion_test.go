@@ -189,7 +189,7 @@ func BenchmarkStepQVGA(b *testing.B) {
 }
 
 // TestAblationAdaptiveVsFrozenBackground is the motion-detector design
-// ablation from DESIGN.md §6: on a drifting-illumination trace, the
+// ablation: on a drifting-illumination trace, the
 // adaptive background model must filter empty frames far better than a
 // frozen first-frame reference while keeping target recall.
 func TestAblationAdaptiveVsFrozenBackground(t *testing.T) {

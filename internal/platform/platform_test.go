@@ -83,9 +83,8 @@ func TestZynqTableI(t *testing.T) {
 	if math.Abs(u.RAMPct-6.70) > 0.3 {
 		t.Fatalf("Zynq RAM %% = %v, want ~6.70", u.RAMPct)
 	}
-	// Paper reports 94.09% DSP; our 18-DSP/CU model gives 98.2% — the
-	// known deviation documented in EXPERIMENTS.md. Assert the model's own
-	// arithmetic.
+	// Paper reports 94.09% DSP; our 18-DSP/CU model gives 98.2%, a known
+	// deviation. Assert the model's own arithmetic.
 	if math.Abs(u.DSPPct-100*216.0/220) > 1e-9 {
 		t.Fatalf("Zynq DSP %% = %v", u.DSPPct)
 	}
