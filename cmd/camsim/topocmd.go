@@ -116,10 +116,12 @@ func cmdTopo(args []string) error {
 		return reportDeepTopo(scenarios, outcomes, policies, *duration, *seed)
 	}
 
+	// The demo declares its gateway tiers first and the "wan" root last.
 	sc := scenarios[0]
+	gws, wan := sc.Tiers[:len(sc.Tiers)-1], sc.Tiers[len(sc.Tiers)-1]
 	fmt.Printf("tiered fleet: %d cameras behind %d gateways, WAN %.1f Gb/s, %gs of capture, seed %d\n",
-		sc.Cameras(), len(sc.Gateways), sc.Uplink.Gbps, *duration, *seed)
-	for _, gw := range sc.Gateways {
+		sc.Cameras(), len(gws), wan.Uplink.Gbps, *duration, *seed)
+	for _, gw := range gws {
 		fmt.Printf("  %s: %.1f Gb/s %s uplink\n", gw.Name, gw.Uplink.Gbps, gw.Uplink.Contention)
 	}
 	fmt.Println()

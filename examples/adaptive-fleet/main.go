@@ -23,13 +23,13 @@ const scenarioJSON = `{
   "name": "campus-topo",
   "seed": 1,
   "duration_sec": 10,
-  "uplink": {"gbps": 4, "contention": "fair-share"},
-  "gateways": [
-    {"name": "gw-north", "uplink": {"gbps": 2, "contention": "fair-share"}},
-    {"name": "gw-south", "uplink": {"gbps": 2, "contention": "fair-share"}}
+  "tiers": [
+    {"name": "gw-north", "parent": "wan", "uplink": {"gbps": 2, "contention": "fair-share"}},
+    {"name": "gw-south", "parent": "wan", "uplink": {"gbps": 2, "contention": "fair-share"}},
+    {"name": "wan", "uplink": {"gbps": 4, "contention": "fair-share"}}
   ],
   "classes": [
-    {"name": "vr-north", "count": 4, "fps": 30, "gateway": "gw-north",
+    {"name": "vr-north", "count": 4, "fps": 30, "tier": "gw-north",
      "capture_j": 5e-3, "tx_fixed_j": 1e-4, "tx_per_byte_j": 4e-8,
      "placements": [
        {"name": "raw", "frame_bytes": 12400000, "compute_sec": 0.0001, "compute_j": 0.0002},
@@ -38,11 +38,11 @@ const scenarioJSON = `{
      "policy": {"kind": "latency-threshold", "interval_sec": 0.5,
                 "high_sec": 0.2, "move_fraction": 0.5}},
     {"name": "fa-north", "count": 80, "fps": 1, "arrival": "poisson",
-     "gateway": "gw-north", "frame_bytes": 400, "offload_prob": 0.1,
+     "tier": "gw-north", "frame_bytes": 400, "offload_prob": 0.1,
      "compute_sec": 0.02, "capture_j": 3.3e-6, "compute_j": 3e-7,
      "tx_fixed_j": 2e-6, "tx_per_byte_j": 4.8e-10,
      "harvest_w": 2e-4, "store_j": 0.07},
-    {"name": "vr-south", "count": 4, "fps": 30, "gateway": "gw-south",
+    {"name": "vr-south", "count": 4, "fps": 30, "tier": "gw-south",
      "capture_j": 5e-3, "tx_fixed_j": 1e-4, "tx_per_byte_j": 4e-8,
      "placements": [
        {"name": "raw", "frame_bytes": 12400000, "compute_sec": 0.0001, "compute_j": 0.0002},
@@ -51,7 +51,7 @@ const scenarioJSON = `{
      "policy": {"kind": "latency-threshold", "interval_sec": 0.5,
                 "high_sec": 0.2, "move_fraction": 0.5}},
     {"name": "fa-south", "count": 80, "fps": 1, "arrival": "poisson",
-     "gateway": "gw-south", "frame_bytes": 400, "offload_prob": 0.1,
+     "tier": "gw-south", "frame_bytes": 400, "offload_prob": 0.1,
      "compute_sec": 0.02, "capture_j": 3.3e-6, "compute_j": 3e-7,
      "tx_fixed_j": 2e-6, "tx_per_byte_j": 4.8e-10,
      "harvest_w": 2e-4, "store_j": 0.07}

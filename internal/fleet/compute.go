@@ -174,10 +174,9 @@ func (sc *Scenario) validateComputeNodes(nodes []tierNode) error {
 // classAttachIndex resolves the class's attach tier to a node index;
 // the root when the class names none.
 func classAttachIndex(nodes []tierNode, c *Class) int {
-	at := c.attach()
 	root := -1
 	for i := range nodes {
-		if at != "" && nodes[i].Name == at {
+		if c.Tier != "" && nodes[i].Name == c.Tier {
 			return i
 		}
 		if nodes[i].parent < 0 {
@@ -255,8 +254,10 @@ func classRowDelays(c *Class, pathScale float64) []float64 {
 // than this. Returns nil (no error) when no compute tier sits on the
 // class's offload path, and an error for an unknown class or topology.
 func (sc Scenario) RowDelaySeconds(class string) ([]float64, error) {
-	sc = sc.clone()
-	sc.Normalize()
+	sc, err := sc.resolved()
+	if err != nil {
+		return nil, err
+	}
 	nodes, _, err := sc.topology()
 	if err != nil {
 		return nil, err

@@ -60,8 +60,11 @@
 // gateway their cameras attach to ("gateway"), offloads cross the finite
 // camera→gateway link first and the shared WAN link (the top-level
 // "uplink") second, and each tier runs its own contention discipline.
-// Classes without a gateway attach directly to the WAN. Per-tier served
-// bytes and utilization come back in Result.Tiers.
+// Classes without a gateway attach directly to the WAN. Both forms are
+// shorthand for a tier tree (see Tier trees): "uplink" alone is a single
+// root tier named "wan", and "uplink" plus "gateways" is that root with
+// one leaf per gateway, in declaration order, all with zero propagation.
+// Per-tier served bytes and utilization come back in Result.Tiers.
 //
 //	"uplink": {"gbps": 4, "contention": "fair-share"},
 //	"gateways": [
@@ -87,9 +90,11 @@
 //	  {"name": "core",                     "uplink": {"gbps": 8}, "propagation_sec": 0.01}
 //	],
 //
-// "tiers" is mutually exclusive with "gateways"; the flat and gateway
-// forms are themselves resolved into depth-1 and depth-2 trees (root
-// named "wan"), so the tree is the one runtime model. Per-tier stats come
+// "tiers" is mutually exclusive with "gateways". The tree is the one
+// form the simulator runs: Run and Validate turn a scenario without
+// "tiers" into its depth-1 or depth-2 tree rooted at "wan" (the root
+// last, after the gateway leaves) before anything else reads it, and a
+// class's "gateway" becomes its "tier". Per-tier stats come
 // back in Result.Tiers — served bytes, completed transfers, utilization,
 // depth and the hop-delay total Transfers × PropagationSec — and
 // Result.TierNamed finds a tier by name. DeepTopologyScenario builds the

@@ -259,7 +259,7 @@ func TestFederatedValidationRejections(t *testing.T) {
 				sc.Classes[i].Tier = ""
 			}
 			sc.Uplink = UplinkConfig{Gbps: 1, Contention: ContentionFairShare}
-		}, "needs a \"tiers\" topology"},
+		}, "has no downlink"},
 		{"unknown class", func(sc *Scenario) { sc.Federated.Classes = []string{"nobody"} }, "not in the scenario"},
 		{"zero rounds", func(sc *Scenario) { sc.Federated.Rounds = 0 }, "rounds"},
 		{"no sizing", func(sc *Scenario) { sc.Federated.Model = nil }, "update_bytes or a model"},

@@ -2,6 +2,8 @@ package fleet
 
 import (
 	"math"
+	"reflect"
+	"strings"
 	"testing"
 
 	"camsim/internal/core"
@@ -55,6 +57,77 @@ func TestScenarioParseDefaultsAndValidate(t *testing.T) {
 		"classes": [{"name": "c", "count": 1, "fps": 1}]
 	}`)); err == nil {
 		t.Fatal("accepted unknown contention model")
+	}
+}
+
+func TestValidateAcceptsWhatRunAccepts(t *testing.T) {
+	// Scenarios built in Go with every default left unfilled — no
+	// contention model, no arrival pattern — in each of the three network
+	// forms. Run fills the defaults on its private copy; Validate must
+	// accept the same scenarios and leave the caller's copy untouched.
+	classes := func(attach func(*Class)) []Class {
+		cs := []Class{
+			{Name: "c", Count: 1, FPS: 1, FrameBytes: 10},
+			{Name: "p", Count: 2, FPS: 1, Placements: []PlacementCost{{Name: "raw", FrameBytes: 10}}},
+		}
+		for i := range cs {
+			attach(&cs[i])
+		}
+		return cs
+	}
+	cases := []struct {
+		name string
+		sc   Scenario
+	}{
+		{"flat", Scenario{Duration: 1, Uplink: UplinkConfig{Gbps: 1},
+			Classes: classes(func(*Class) {})}},
+		{"gateways", Scenario{Duration: 1, Uplink: UplinkConfig{Gbps: 1},
+			Gateways: []Gateway{{Name: "g", Uplink: UplinkConfig{Gbps: 1}}},
+			Classes:  classes(func(c *Class) { c.Gateway = "g" })}},
+		{"tiers", Scenario{Duration: 1,
+			Tiers: []Tier{
+				{Name: "g", Parent: "wan", Uplink: UplinkConfig{Gbps: 1}},
+				{Name: "wan", Uplink: UplinkConfig{Gbps: 1}},
+			},
+			Classes: classes(func(c *Class) { c.Tier = "g" })}},
+	}
+	for _, tc := range cases {
+		if _, err := Run(tc.sc); err != nil {
+			t.Fatalf("%s: Run: %v", tc.name, err)
+		}
+		before := deepCopyScenario(tc.sc)
+		if err := tc.sc.Validate(); err != nil {
+			t.Errorf("%s: Run succeeds but Validate says: %v", tc.name, err)
+		}
+		if !reflect.DeepEqual(tc.sc, before) {
+			t.Errorf("%s: Validate wrote into the caller's scenario:\n%+v\nvs\n%+v", tc.name, tc.sc, before)
+		}
+	}
+}
+
+func TestParsedFlatScenarioTakesContentionOverride(t *testing.T) {
+	// The fleet-sweep pattern: parse a flat scenario once, then vary its
+	// top-level uplink in Go. Parsing leaves the flat form as written, so
+	// the override reaches the "wan" root the run builds from it.
+	sc, err := ParseScenario([]byte(`{
+		"name": "flat", "seed": 1, "duration_sec": 1,
+		"uplink": {"gbps": 1},
+		"classes": [{"name": "c", "count": 4, "fps": 5, "frame_bytes": 1000}]
+	}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc.Uplink.Contention = ContentionFIFO
+	res, err := Run(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	header, _, _ := strings.Cut(res.Table(), "\n")
+	if !strings.Contains(header, ContentionFIFO) {
+		t.Fatalf("header does not name the overridden discipline: %q", header)
+	}
+	if wan := res.TierNamed(rootTierName); wan == nil || wan.Contention != ContentionFIFO {
+		t.Fatalf("root tier did not take the override: %+v", wan)
 	}
 }
 

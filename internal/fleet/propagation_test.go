@@ -68,7 +68,7 @@ func TestPropagationAnalyticSingleTransfer(t *testing.T) {
 
 func TestZeroPropagationTiersMatchLegacyGateways(t *testing.T) {
 	// A depth-2 tier tree with zero propagation is the same machine as the
-	// legacy gateways form: identical names must yield byte-identical
+	// gateways shorthand: identical names must yield byte-identical
 	// tables (same event order, same per-tier stats).
 	legacy := twoTierScenario(3, PolicyLatencyThreshold, 0)
 	tree := legacy
@@ -87,6 +87,23 @@ func TestZeroPropagationTiersMatchLegacyGateways(t *testing.T) {
 	}
 	if a.Table() != b.Table() {
 		t.Fatalf("tiers form diverged from gateways form:\n%s\nvs\n%s", a.Table(), b.Table())
+	}
+
+	// Likewise a flat uplink is a single root tier named "wan".
+	flat := mixedScenario(3, ContentionFIFO)
+	single := flat
+	single.Uplink = UplinkConfig{}
+	single.Tiers = []Tier{{Name: "wan", Uplink: flat.Uplink}}
+	a, err = Run(flat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err = Run(single)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Table() != b.Table() {
+		t.Fatalf("single-tier form diverged from flat form:\n%s\nvs\n%s", a.Table(), b.Table())
 	}
 }
 
@@ -234,9 +251,9 @@ func TestTierTreeServedBytesConservedHopToHop(t *testing.T) {
 		expect := make([]float64, len(nodes))
 		for ci, cl := range sc.Classes {
 			li := root
-			if at := cl.attach(); at != "" {
+			if cl.Tier != "" {
 				for i := range nodes {
-					if nodes[i].Name == at {
+					if nodes[i].Name == cl.Tier {
 						li = i
 					}
 				}

@@ -15,27 +15,28 @@ import (
 )
 
 // Scenario describes one fleet simulation: a camera population, a network
-// (either one shared uplink or a tiered gateway topology), and a duration.
+// (a tier tree, or a flat or gateway shorthand for one) and a duration.
 // See the package comment for the JSON form.
 type Scenario struct {
 	Name     string  `json:"name"`
 	Seed     int64   `json:"seed"`
 	Duration float64 `json:"duration_sec"` // simulated seconds of capture
-	// Uplink is the top-tier link. With no Gateways it is the single
-	// shared uplink of the flat model; with Gateways it is the WAN link
-	// every gateway's traffic funnels into.
+	// Uplink is the root link of a scenario without Tiers: alone it is
+	// the flat model's one shared link, with Gateways the WAN link every
+	// gateway funnels into. Either way it is shorthand for a root tier
+	// named "wan" (see Tiers). With Tiers it may be omitted; Normalize
+	// then mirrors the root tier's uplink into it.
 	Uplink UplinkConfig `json:"uplink"`
-	// Gateways, when non-empty, makes the network tiered: each class
-	// attaches its cameras to one gateway (Class.Gateway), offloads cross
-	// the finite camera→gateway link first and the shared WAN second, and
-	// each tier runs its own contention discipline.
+	// Gateways is shorthand for a two-tier tree: each gateway becomes a
+	// leaf tier, in declaration order, under the "wan" root that carries
+	// Uplink, with zero propagation. Mutually exclusive with Tiers.
 	Gateways []Gateway `json:"gateways,omitempty"`
-	// Tiers, when non-empty, describes an arbitrary-depth tier tree
-	// instead: each tier names its parent (one root leaves it empty),
-	// carries its own uplink and a one-way propagation delay, and a
-	// transfer rides every link from its class's attach point (Class.Tier)
-	// to the root. Mutually exclusive with Gateways; the flat and gateway
-	// forms are themselves normalized into depth-1 and depth-2 trees.
+	// Tiers describes the network as an arbitrary-depth tier tree, the
+	// one form the simulator runs: each tier names its parent (one root
+	// leaves it empty), carries its own uplink and a one-way propagation
+	// delay, and a transfer rides every link from its class's attach
+	// point (Class.Tier) to the root. A scenario without Tiers is turned
+	// into its tree, rooted at "wan", before it is validated or run.
 	Tiers   []Tier  `json:"tiers,omitempty"`
 	Classes []Class `json:"classes"`
 	// Global, when present, runs the fleet-wide energy-aware placement
@@ -48,8 +49,8 @@ type Scenario struct {
 	// job over the tier tree: participating cameras push update blobs up
 	// their attach tier's uplink, tiers aggregate fan-in blobs to one per
 	// round, and the cloud broadcasts the merged model down the tree's
-	// downlinks to start the next round. Requires the "tiers" form, with
-	// a downlink on every tier of the broadcast span.
+	// downlinks to start the next round. Every tier of the broadcast span
+	// needs a downlink, which only the "tiers" form can declare.
 	Federated *fl.Config `json:"federated,omitempty"`
 	// Telemetry, when present, opts the run into streaming statistics:
 	// bounded-memory quantile sketches in place of exact per-class
@@ -77,16 +78,6 @@ type UplinkConfig struct {
 type Gateway struct {
 	Name   string       `json:"name"`
 	Uplink UplinkConfig `json:"uplink"`
-}
-
-// GatewayIndex returns the position of the named gateway, or -1.
-func (sc *Scenario) GatewayIndex(name string) int {
-	for i := range sc.Gateways {
-		if sc.Gateways[i].Name == name {
-			return i
-		}
-	}
-	return -1
 }
 
 // BytesPerSecond returns the uplink's payload capacity.
@@ -125,12 +116,12 @@ type Class struct {
 	HarvestW float64 `json:"harvest_w"`
 	StoreJ   float64 `json:"store_j"`
 
-	// Gateway attaches the class's cameras to the named gateway in a
-	// tiered scenario; empty attaches them directly to the top-tier link.
+	// Gateway is shorthand for Tier, kept for the gateway form: it names
+	// the gateway the class's cameras attach to. It may not name the
+	// "wan" root of a scenario without Tiers, nor disagree with Tier.
 	Gateway string `json:"gateway,omitempty"`
-	// Tier attaches the class's cameras to the named node of a tier-tree
-	// scenario (Scenario.Tiers); empty attaches them at the root. Gateway
-	// is accepted as a synonym for the legacy two-tier form.
+	// Tier attaches the class's cameras to the named tier; empty attaches
+	// them at the root.
 	Tier string `json:"tier,omitempty"`
 
 	// Placements, when non-empty, is the class's runtime cost table:
@@ -255,13 +246,12 @@ func ParseScenario(data []byte) (Scenario, error) {
 }
 
 // clone returns sc with fresh storage for every section Normalize writes
-// defaults into — the class, gateway and tier slices, each tier's
+// defaults into — the class and tier slices, each tier's
 // downlink and compute, and the global, federated and dynamics sections —
 // plus telemetry, so a run's normalized copy shares no mutable section
 // with the caller or, under Sweep, with sibling scenarios.
 func (sc Scenario) clone() Scenario {
 	sc.Classes = append([]Class(nil), sc.Classes...)
-	sc.Gateways = append([]Gateway(nil), sc.Gateways...)
 	sc.Tiers = append([]Tier(nil), sc.Tiers...)
 	for i := range sc.Tiers {
 		if d := sc.Tiers[i].Downlink; d != nil {
@@ -290,9 +280,47 @@ func (sc Scenario) clone() Scenario {
 	return sc
 }
 
+// resolved returns a private, normalized copy of sc in the one form the
+// simulator runs: a tier tree. A scenario without Tiers becomes the tree
+// it already meant — each gateway a leaf, in declaration order, under a
+// root named "wan" that comes last and carries the top-level uplink, all
+// with zero propagation — and a class's Gateway becomes its Tier. Only
+// this function reads the shorthand fields, so it also rejects the
+// inputs that have no tree: tiers mixed with gateways, a class whose tier
+// and gateway disagree, and a class attached to "wan" by gateway name.
+func (sc Scenario) resolved() (Scenario, error) {
+	if len(sc.Tiers) > 0 && len(sc.Gateways) > 0 {
+		return Scenario{}, fmt.Errorf("fleet: scenario %q: tiers and gateways are mutually exclusive", sc.Name)
+	}
+	sc = sc.clone()
+	for i := range sc.Classes {
+		c := &sc.Classes[i]
+		switch {
+		case c.Gateway == "":
+			continue
+		case c.Tier != "" && c.Tier != c.Gateway:
+			return Scenario{}, fmt.Errorf("fleet: class %q: tier %q and gateway %q disagree", c.Name, c.Tier, c.Gateway)
+		case len(sc.Tiers) == 0 && c.Gateway == rootTierName:
+			return Scenario{}, fmt.Errorf("fleet: class %q: gateway name %q is reserved for the top tier", c.Name, rootTierName)
+		}
+		c.Tier, c.Gateway = c.Gateway, ""
+	}
+	if len(sc.Tiers) == 0 {
+		sc.Tiers = make([]Tier, 0, len(sc.Gateways)+1)
+		for _, gw := range sc.Gateways {
+			sc.Tiers = append(sc.Tiers, Tier{Name: gw.Name, Parent: rootTierName, Uplink: gw.Uplink})
+		}
+		sc.Tiers = append(sc.Tiers, Tier{Name: rootTierName, Uplink: sc.Uplink})
+		sc.Gateways = nil
+	}
+	sc.Normalize()
+	return sc, nil
+}
+
 // Normalize fills defaulted fields in place: contention models (every
 // tier), arrival pattern, queue depth, offload probability and the
-// adaptive-policy knobs. It is idempotent.
+// adaptive-policy knobs. It is idempotent. It leaves the flat and gateway
+// shorthands as written; Run and Validate turn them into tiers first.
 func (sc *Scenario) Normalize() {
 	// Whether the scenario declared any top-level uplink at all, before
 	// defaults obscure it: a declared uplink is never overwritten by the
@@ -300,11 +328,6 @@ func (sc *Scenario) Normalize() {
 	uplinkDeclared := sc.Uplink != (UplinkConfig{})
 	if sc.Uplink.Contention == "" {
 		sc.Uplink.Contention = ContentionFairShare
-	}
-	for i := range sc.Gateways {
-		if sc.Gateways[i].Uplink.Contention == "" {
-			sc.Gateways[i].Uplink.Contention = ContentionFairShare
-		}
 	}
 	root := -1
 	for i := range sc.Tiers {
@@ -323,9 +346,8 @@ func (sc *Scenario) Normalize() {
 	}
 	if root >= 0 && !uplinkDeclared {
 		// The tier tree is authoritative: mirror the root link into an
-		// undeclared top-level Uplink so legacy display paths (Table
-		// headers) and the flat-model accessors keep reporting the real
-		// top tier.
+		// undeclared top-level Uplink so Scenario.Uplink always reports
+		// the real top tier.
 		sc.Uplink = sc.Tiers[root].Uplink
 	}
 	for i := range sc.Classes {
@@ -382,30 +404,22 @@ func validateUplink(u UplinkConfig, tier string) error {
 	return nil
 }
 
-// Validate rejects scenarios the simulator cannot run.
-func (sc *Scenario) Validate() error { return sc.validate(nil) }
+// Validate rejects scenarios the simulator cannot run: it accepts exactly
+// what Run accepts, defaults unfilled or not.
+func (sc *Scenario) Validate() error {
+	r, err := sc.resolved()
+	if err != nil {
+		return err
+	}
+	return r.validate(nil)
+}
 
-// validate is Validate over an optionally pre-resolved tier tree: Run
-// resolves the topology once and shares it, everyone else passes nil.
+// validate checks a resolved scenario (see resolved) over an optionally
+// pre-resolved tier tree: Run resolves the topology once and shares it,
+// everyone else passes nil.
 func (sc *Scenario) validate(nodes []tierNode) error {
 	if !(sc.Duration > 0) || math.IsInf(sc.Duration, 0) {
 		return fmt.Errorf("fleet: scenario %q: duration %v must be positive and finite", sc.Name, sc.Duration)
-	}
-	if len(sc.Tiers) == 0 {
-		if err := validateUplink(sc.Uplink, fmt.Sprintf("scenario %q", sc.Name)); err != nil {
-			return err
-		}
-	}
-	for i, gw := range sc.Gateways {
-		if gw.Name == "" {
-			return fmt.Errorf("fleet: scenario %q: gateway %d has no name", sc.Name, i)
-		}
-		if sc.GatewayIndex(gw.Name) != i {
-			return fmt.Errorf("fleet: scenario %q: duplicate gateway %q", sc.Name, gw.Name)
-		}
-		if err := validateUplink(gw.Uplink, fmt.Sprintf("gateway %q", gw.Name)); err != nil {
-			return err
-		}
 	}
 	if nodes == nil {
 		var err error
@@ -480,9 +494,6 @@ func (sc *Scenario) validateFederated(nodes []tierNode) error {
 	if err := f.Validate(); err != nil {
 		return fmt.Errorf("fleet: scenario %q: %w", sc.Name, err)
 	}
-	if len(sc.Tiers) == 0 {
-		return fmt.Errorf("fleet: scenario %q: federated learning needs a \"tiers\" topology (the model broadcast rides tier downlinks)", sc.Name)
-	}
 	topo, err := sc.flTopology(nodes)
 	if err != nil {
 		return err
@@ -535,8 +546,8 @@ func (sc *Scenario) flTopology(nodes []tierNode) (fl.Topology, error) {
 			continue
 		}
 		ti := topo.Root
-		if at := c.attach(); at != "" {
-			ti = idx[at]
+		if c.Tier != "" {
+			ti = idx[c.Tier]
 		}
 		topo.Cams[ti] += c.Count
 	}

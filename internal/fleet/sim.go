@@ -238,7 +238,7 @@ func run(sc Scenario) (*Result, error) {
 // federated.go, the fault schedule in dynamics.go and result assembly
 // in stats.go.
 type engine struct {
-	sc    Scenario // the run's private, normalized copy
+	sc    Scenario // the run's private, resolved copy
 	nodes []tierNode
 	root  int
 
@@ -304,10 +304,11 @@ type engine struct {
 // optional subsystems, and the initial events.
 func newEngine(sc Scenario) (*engine, error) {
 	// sc arrives by value, but its sections share storage with the caller
-	// (and, under Sweep, with sibling scenarios): clone before Normalize
-	// writes defaults into them.
-	sc = sc.clone()
-	sc.Normalize()
+	// (and, under Sweep, with sibling scenarios): resolved works on a clone.
+	sc, err := sc.resolved()
+	if err != nil {
+		return nil, err
+	}
 	nodes, root, err := sc.topology()
 	if err != nil {
 		return nil, err

@@ -60,9 +60,9 @@ func (s ClassStats) DropRate() float64 {
 	return float64(s.DroppedQueue+s.DroppedEnergy+s.DroppedOutage) / float64(s.Captured)
 }
 
-// TierStats is the per-link accounting of one network tier, in resolved
-// tree order (declaration order; for the legacy gateway form, each gateway
-// link then the top-tier "wan" link).
+// TierStats is the per-link accounting of one network tier, in tree
+// order: declaration order, which for the gateway shorthand is each
+// gateway link and then the "wan" root.
 type TierStats struct {
 	Name string
 	// Parent names the tier this link feeds into; empty at the root.
@@ -213,11 +213,14 @@ type GlobalMove struct {
 
 // Result is the outcome of one simulated scenario.
 type Result struct {
+	// Scenario is the run's resolved copy: defaults filled, and a flat or
+	// gateway scenario already turned into its tier tree.
 	Scenario Scenario
 	Classes  []ClassStats
 	Total    ClassStats
-	// Tiers holds per-link stats: gateways in scenario order, then the
-	// top-tier link named "wan". A flat scenario has exactly one entry.
+	// Tiers holds per-link stats in tree order (see TierStats). A flat
+	// scenario has exactly one entry, its "wan" root; the gateway
+	// shorthand lists its gateways, then "wan".
 	Tiers []TierStats
 	// SimEnd is when the last offload drained (≥ Scenario.Duration).
 	SimEnd float64
@@ -241,7 +244,7 @@ type Result struct {
 }
 
 // TierNamed returns the stats of the named tier, or nil. The root tier of
-// a flat or gateway scenario is named "wan"; tier-tree scenarios use their
+// the flat and gateway shorthands is named "wan"; the tiers form uses its
 // declared names.
 func (r *Result) TierNamed(name string) *TierStats {
 	for i := range r.Tiers {

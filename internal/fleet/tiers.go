@@ -68,45 +68,12 @@ type tierNode struct {
 	depth  int // hops below the root link; the root is 0
 }
 
-// topology resolves the scenario's network into its tier tree. The three
-// scenario forms normalize as follows:
-//
-//   - "tiers" present: the declared tree, in declaration order.
-//   - "gateways" present: a depth-2 tree — each gateway a leaf, the
-//     top-level "uplink" its shared root, named "wan".
-//   - neither: the single root link "wan" (the flat model).
-//
-// Node order is declaration order with the synthesized root last, so link
-// indices — and therefore simultaneous-completion tie-breaks — are stable
-// across releases for the legacy forms. Returns the nodes, the root's
-// index, and the first validation error.
+// topology builds the tier tree of a resolved scenario (see
+// Scenario.resolved): the declared tiers in declaration order, so link
+// indices — and therefore simultaneous-completion tie-breaks — follow the
+// declaration; the flat and gateway shorthands put their "wan" root last.
+// Returns the nodes, the root's index, and the first validation error.
 func (sc *Scenario) topology() ([]tierNode, int, error) {
-	if len(sc.Tiers) == 0 {
-		nodes := make([]tierNode, 0, len(sc.Gateways)+1)
-		root := len(sc.Gateways)
-		for _, gw := range sc.Gateways {
-			nodes = append(nodes, tierNode{
-				Tier:   Tier{Name: gw.Name, Parent: rootTierName, Uplink: gw.Uplink},
-				parent: root,
-				depth:  1,
-			})
-		}
-		nodes = append(nodes, tierNode{
-			Tier:   Tier{Name: rootTierName, Uplink: sc.Uplink},
-			parent: -1,
-		})
-		for _, gw := range sc.Gateways {
-			if gw.Name == rootTierName {
-				return nil, 0, fmt.Errorf("fleet: scenario %q: gateway name %q is reserved for the top tier",
-					sc.Name, rootTierName)
-			}
-		}
-		return nodes, root, nil
-	}
-
-	if len(sc.Gateways) > 0 {
-		return nil, 0, fmt.Errorf("fleet: scenario %q: tiers and gateways are mutually exclusive", sc.Name)
-	}
 	nodes := make([]tierNode, len(sc.Tiers))
 	index := make(map[string]int, len(sc.Tiers))
 	root := -1
@@ -158,8 +125,7 @@ func (sc *Scenario) topology() ([]tierNode, int, error) {
 	return nodes, root, nil
 }
 
-// rootTierName names the synthesized top tier of the flat and gateway
-// scenario forms (and the stat entry legacy callers look up).
+// rootTierName names the root tier of the flat and gateway shorthands.
 const rootTierName = "wan"
 
 // validateTopologyNodes checks a resolved tree's links and delays plus
@@ -168,13 +134,7 @@ const rootTierName = "wan"
 func (sc *Scenario) validateTopologyNodes(nodes []tierNode) error {
 	names := make(map[string]bool, len(nodes))
 	for _, nd := range nodes {
-		// Classes may attach to any declared tier, but in the legacy
-		// flat/gateway forms the synthesized root is not a valid attach
-		// name — "gateway": "wan" stays the typo it always was (empty
-		// already means the root).
-		if len(sc.Tiers) > 0 || nd.parent >= 0 {
-			names[nd.Name] = true
-		}
+		names[nd.Name] = true
 		if err := validateUplink(nd.Uplink, fmt.Sprintf("tier %q", nd.Name)); err != nil {
 			return err
 		}
@@ -195,33 +155,19 @@ func (sc *Scenario) validateTopologyNodes(nodes []tierNode) error {
 					nd.Name, d.PropagationSec)
 			}
 		}
-		if len(sc.Tiers) > 0 && nd.parent < 0 &&
-			sc.Uplink != (UplinkConfig{}) && sc.Uplink != nd.Uplink {
-			// A zero-value Uplink is simply undeclared (Validate must also
-			// work before Normalize mirrors the root into it); anything
-			// else that disagrees with the root means the scenario declared
-			// both — reject rather than silently prefer one, mirroring the
+		if nd.parent < 0 && sc.Uplink != nd.Uplink {
+			// Normalize mirrors the root into an undeclared top-level
+			// Uplink, so a disagreement means the scenario declared both —
+			// reject rather than silently prefer one, mirroring the
 			// tiers/gateways exclusion.
 			return fmt.Errorf("fleet: scenario %q: top-level uplink conflicts with root tier %q; omit \"uplink\" when \"tiers\" is given",
 				sc.Name, nd.Name)
 		}
 	}
 	for _, c := range sc.Classes {
-		if c.Tier != "" && c.Gateway != "" && c.Tier != c.Gateway {
-			return fmt.Errorf("fleet: class %q: tier %q and gateway %q disagree", c.Name, c.Tier, c.Gateway)
-		}
-		if at := c.attach(); at != "" && !names[at] {
-			return fmt.Errorf("fleet: class %q: unknown tier %q", c.Name, at)
+		if c.Tier != "" && !names[c.Tier] {
+			return fmt.Errorf("fleet: class %q: unknown tier %q", c.Name, c.Tier)
 		}
 	}
 	return nil
-}
-
-// attach returns the name of the tier the class's cameras transmit on
-// first; empty means the root.
-func (c *Class) attach() string {
-	if c.Tier != "" {
-		return c.Tier
-	}
-	return c.Gateway
 }

@@ -78,8 +78,9 @@ func VRAdaptiveClass(count int, pls []core.Placement, targetFPS float64, policy 
 // tests: each gateway aggregates adaptive VR camera heads (starting at raw
 // sensor offload, able to fall back to the full in-camera pipeline) plus a
 // population of battery-free face-auth cameras, and both gateway links
-// funnel into a shared WAN. At raw offload the VR demand oversubscribes
-// the gateway links several times over; at full in-camera compute it fits.
+// funnel into a shared WAN, the root tier "wan". At raw offload the VR
+// demand oversubscribes the gateway links several times over; at full
+// in-camera compute it fits.
 // policy names the VR classes' adaptation rule: PolicyStatic pins them at
 // raw offload, PolicyLatencyThreshold and PolicyHysteresis adapt.
 func TopologyDemoScenario(seed int64, policy string) (Scenario, error) {
@@ -98,10 +99,10 @@ func TopologyDemoScenario(seed int64, policy string) (Scenario, error) {
 		Name:     "topo-2gw/" + policy,
 		Seed:     seed,
 		Duration: 8,
-		Uplink:   UplinkConfig{Gbps: 4, Contention: ContentionFairShare},
-		Gateways: []Gateway{
-			{Name: "gw-a", Uplink: UplinkConfig{Gbps: 2, Contention: ContentionFairShare}},
-			{Name: "gw-b", Uplink: UplinkConfig{Gbps: 2, Contention: ContentionFairShare}},
+		Tiers: []Tier{
+			{Name: "gw-a", Parent: "wan", Uplink: UplinkConfig{Gbps: 2, Contention: ContentionFairShare}},
+			{Name: "gw-b", Parent: "wan", Uplink: UplinkConfig{Gbps: 2, Contention: ContentionFairShare}},
+			{Name: "wan", Uplink: UplinkConfig{Gbps: 4, Contention: ContentionFairShare}},
 		},
 	}
 	for _, gw := range []string{"gw-a", "gw-b"} {
@@ -110,10 +111,10 @@ func TopologyDemoScenario(seed int64, policy string) (Scenario, error) {
 			return Scenario{}, err
 		}
 		vr.Name = "vr-" + gw
-		vr.Gateway = gw
+		vr.Tier = gw
 		fa := FaceAuthClass(60)
 		fa.Name = "fa-" + gw
-		fa.Gateway = gw
+		fa.Tier = gw
 		sc.Classes = append(sc.Classes, vr, fa)
 	}
 	return sc, nil
