@@ -19,7 +19,7 @@ func (e *engine) classFPS(ci int) float64 {
 func (e *engine) spawnCamera(ci int, t float64) {
 	cl := &e.sc.Classes[ci]
 	idx := len(e.cams)
-	c := camera{class: ci, rng: newPRNG(cameraSeed(e.sc.Seed, idx)), stored: cl.StoreJ, lastTop: t, placement: cl.Policy.Start}
+	c := camera{class: ci, rng: newPRNG(streamSeed(e.sc.Seed, seedCameras, idx)), stored: cl.StoreJ, lastTop: t, placement: cl.Policy.Start}
 	fps := e.classFPS(ci)
 	var first float64
 	if cl.Arrival == ArrivalPoisson {
@@ -112,13 +112,13 @@ func (e *engine) capture(t float64, camIdx int32) {
 	}
 }
 
-// countDrop charges one lost frame of class ci to both controller kinds,
-// so they see and react to congestion and outages alike.
+// countDrop charges one lost frame of class ci to both controller kinds'
+// windows, so they see and react to congestion and outages alike.
 func (e *engine) countDrop(ci int) {
 	if ctl := e.ctls[ci]; ctl != nil {
-		ctl.winDrops++
+		ctl.win.drops++
 	}
-	if e.gctl != nil {
-		e.gctl.drop(ci)
+	if e.gctl != nil && e.gctl.wins != nil {
+		e.gctl.wins[ci].drops++
 	}
 }

@@ -213,9 +213,11 @@
 // bound: the exact path preallocates latency storage from the expected
 // frame count, so a long horizon's cost grows with simulated frames,
 // while a sketch's retained set is fixed — BenchmarkLongHorizon pins
-// B/op flat in the frame count at 100k cameras, gated in CI. The event
-// sequence is untouched either way (the adaptive controllers keep their
-// own windows), so a streaming run's counters, tier stats and energy
+// B/op flat in the frame count at 100k cameras, gated in CI. The
+// adaptive controllers keep their own windows, which hold only the
+// completions since their last decision; a controller whose period never
+// ticks within the run collects none. The event sequence is untouched
+// either way, so a streaming run's counters, tier stats and energy
 // totals are identical to the exact run's, and a scenario without a
 // telemetry section is byte-identical to what it always produced;
 // TestStreamingDifferential holds the two paths against each other

@@ -21,7 +21,7 @@ func (e *engine) startFederated() {
 		ti := e.firstHop[ci]
 		for _, camIdx := range e.classCams[ci] {
 			pi := int32(len(e.flParts))
-			e.flParts = append(e.flParts, flPart{tier: int32(ti), rng: newPRNG(flSeed(e.sc.Seed, int(camIdx)))})
+			e.flParts = append(e.flParts, flPart{tier: int32(ti), rng: newPRNG(streamSeed(e.sc.Seed, seedFederated, int(camIdx)))})
 			e.flByTier[ti] = append(e.flByTier[ti], pi)
 		}
 	}

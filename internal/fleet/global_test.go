@@ -228,25 +228,31 @@ func TestMoveAcceptSkipsOverBudgetRows(t *testing.T) {
 	// row-0 camera (−9 W) fits. Whatever order the seeded shuffle draws,
 	// the batch must skip the over-budget cameras and still shed — the
 	// old first-overshoot break returned 0 moves and stranded the fleet
-	// over a feasible budget.
+	// over a feasible budget — and no camera may land on the over-budget
+	// row 2.
 	sc := &Scenario{Classes: []Class{{
 		Name: "mixed", Count: 4, FPS: 1,
 		Placements: []PlacementCost{{FrameBytes: 1}, {FrameBytes: 1}, {FrameBytes: 1}},
 	}}}
+	rowJ := [][]float64{{10, 1, 5}}
 	for seed := int64(1); seed <= 20; seed++ {
 		g := &globalController{
-			cfg:  GlobalConfig{BudgetW: 20, EpochSec: 1, MoveFraction: 1},
-			rng:  newPRNG(seed),
-			rowJ: [][]float64{{10, 1, 5}},
+			cfg: GlobalConfig{BudgetW: 20, EpochSec: 1, MoveFraction: 1},
+			rng: newPRNG(seed),
 		}
 		cams := []camera{{placement: 1}, {placement: 0}, {placement: 1}, {placement: 0}}
 		projected := 22.0 // 1 + 10 + 1 + 10
-		moved := g.moveAccept(sc, cams, []int32{0, 1, 2, 3}, 0, +1, 4, &projected, false)
+		moved := g.moveAccept(sc, rowJ, cams, []int32{0, 1, 2, 3}, 0, +1, 4, &projected, false)
 		if moved == 0 {
 			t.Fatalf("seed %d: over-budget rows aborted the whole batch", seed)
 		}
 		if projected > 20 {
 			t.Fatalf("seed %d: still over budget after shedding: %v W", seed, projected)
+		}
+		for i, c := range cams {
+			if c.placement == 2 {
+				t.Fatalf("seed %d: camera %d stepped onto the over-budget row: %+v", seed, i, cams)
+			}
 		}
 	}
 }
@@ -315,5 +321,89 @@ func TestPlacementEnergyPerFrame(t *testing.T) {
 	want = 1e-3 + 0.9 + 0.5*(1e-4+(1e-8+2e-8)*100)
 	if got := c.PlacementEnergyPerFrame(1, 2e-8); math.Abs(got-want) > 1e-15 {
 		t.Fatalf("row energy %v, want %v", got, want)
+	}
+}
+
+func TestGlobalEpochRefusesStepPastDelayFloor(t *testing.T) {
+	// One class at the expensive offload row, well over budget, with a
+	// 0.2 s window p95 under a 0.5 s latency target. Stepping in-camera
+	// saves 9 W per camera, but its 0.4 s delay floor stacked on the p95
+	// breaks the target, so phase 2 must refuse the step outright; a
+	// 0.2 s floor fits and the same epoch sheds to the budget.
+	sc := &Scenario{Classes: []Class{{
+		Name: "c", Count: 4, FPS: 1,
+		Placements: []PlacementCost{{FrameBytes: 1}, {FrameBytes: 1}},
+	}}}
+	rowJ := [][]float64{{10, 1}}
+	epoch := func(floor float64) (GlobalEpoch, []camera) {
+		g := &globalController{
+			cfg:  GlobalConfig{BudgetW: 5, HighSec: 0.5, MoveFraction: 1},
+			rng:  newPRNG(1),
+			wins: []window{{lat: []float64{0.2}}},
+		}
+		cams := make([]camera, 4)
+		g.epoch(1, sc, rowJ, [][]float64{{0, floor}}, cams, [][]int32{{0, 1, 2, 3}})
+		return g.stats.Epochs[0], cams
+	}
+	ep, cams := epoch(0.4)
+	if len(ep.Moves) != 0 || ep.AfterW != ep.BeforeW {
+		t.Fatalf("energy step past the delay floor was taken: %+v", ep)
+	}
+	for i, c := range cams {
+		if c.placement != 0 {
+			t.Fatalf("camera %d moved to row %d despite the delay floor", i, c.placement)
+		}
+	}
+	if ep, _ := epoch(0.2); len(ep.Moves) == 0 || ep.AfterW > 5 {
+		t.Fatalf("energy step within the delay floor was refused: %+v", ep)
+	}
+}
+
+func TestControllersThatNeverDecideKeepNoWindow(t *testing.T) {
+	// A control interval and a global epoch longer than the run never
+	// fire, so neither controller may collect completions: with
+	// streaming telemetry the windows would otherwise be the only state
+	// growing with simulated frames. The result must not change: no
+	// switches, and a global section with no epochs.
+	sc := Scenario{
+		Name: "idle-controllers", Seed: 1, Duration: 5,
+		Tiers: []Tier{{Name: "wan", Uplink: UplinkConfig{Gbps: 1}}},
+		Classes: []Class{{
+			Name: "cams", Count: 50, FPS: 30, Arrival: ArrivalPeriodic, Tier: "wan",
+			Placements: []PlacementCost{
+				{Name: "raw", FrameBytes: 10_000},
+				{Name: "lite", FrameBytes: 1_000, ComputeSeconds: 0.001, ComputeJ: 1e-3},
+			},
+			Policy: PolicyConfig{Kind: PolicyLatencyThreshold, IntervalSec: 100, HighSec: 0.5},
+		}},
+		Global:    &GlobalConfig{EpochSec: 100, BudgetW: 1e9, HighSec: 0.5},
+		Telemetry: &TelemetryConfig{Streaming: true},
+	}
+	e, err := newEngine(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.loop(); err != nil {
+		t.Fatal(err)
+	}
+	res := e.result()
+	if res.Classes[0].Offloaded == 0 {
+		t.Fatal("no offload completed; the test observes nothing")
+	}
+	for ci, ctl := range e.ctls {
+		if ctl != nil && len(ctl.win.lat) > 0 {
+			t.Fatalf("class %d controller holds %d undecided latencies", ci, len(ctl.win.lat))
+		}
+	}
+	for ci, w := range e.gctl.wins {
+		if len(w.lat) > 0 || w.drops > 0 {
+			t.Fatalf("global window %d holds %d latencies, %d drops", ci, len(w.lat), w.drops)
+		}
+	}
+	if res.Classes[0].Switches != 0 {
+		t.Fatalf("switches %d, want 0", res.Classes[0].Switches)
+	}
+	if res.Global == nil || len(res.Global.Epochs) != 0 {
+		t.Fatalf("global section %+v, want present with no epochs", res.Global)
 	}
 }

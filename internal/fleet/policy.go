@@ -6,57 +6,61 @@ import (
 	"camsim/internal/fleet/quantile"
 )
 
-// controller is the per-class adaptive-placement state: the observation
-// window since the last decision, the seeded stream every decision draws
-// from (a compact value-embedded prng, like the cameras'), and the
-// class's per-row energy model (energy-latency policy).
-type controller struct {
-	rng      prng
-	winLat   []float64 // offload latencies completed in the window
-	winDrops int64     // queue drops in the window
-	moves    int64     // camera moves decided so far
-	// rowJ is the expected joules per captured frame at each placement
-	// row, including per-hop network forwarding along the class's uplink
-	// path — the quantity the energy-latency rule weighs against latency.
-	rowJ []float64
-	// rowDelay is the deterministic delay floor per placement row
-	// (in-camera compute plus expected tier service, classRowDelays) —
-	// nil unless a finite-compute tier sits on the class's offload path,
-	// keeping pre-compute scenarios' decisions bit-identical.
-	rowDelay []float64
+// This file holds the placement-control core both controller kinds share
+// — the observation window, row pricing and the seeded batch move — and
+// the per-class controller built on it. The price tables themselves
+// (rowJ, rowDelay) belong to the engine, which passes them into every
+// decision, so a re-homed class is repriced in one place.
+
+// window is a controller's observation window: the offload latencies
+// completed and the frames dropped since its last decision.
+type window struct {
+	lat   []float64
+	drops int64
 }
 
-// newControllers builds one controller per adaptive class (nil entries for
-// static or table-less classes). Controller streams are derived from the
-// scenario seed and the class index through two splitmix64 rounds — the
-// same full-width mixing as the per-camera streams, kept disjoint from
-// them by the controller tag folded into the seed round. rowJ is the
-// per-class, per-row energy table (classRowEnergies for every class);
-// rowDelay the per-class, per-row delay floors — nil, per class or
-// whole, when no tier compute prices the class's path.
-func newControllers(sc *Scenario, rowJ, rowDelay [][]float64) []*controller {
+// take consumes the window and reports its p95 latency, whether any
+// completion was seen, and whether it was congested: a drop, or a p95
+// above high (a high of 0 disables the latency test).
+func (w *window) take(high float64) (p95 float64, seen, congested bool) {
+	seen = len(w.lat) > 0
+	if seen {
+		sort.Float64s(w.lat)
+		p95 = quantile.NearestRank(w.lat, 0.95)
+	}
+	congested = w.drops > 0 || (seen && high > 0 && p95 > high)
+	w.lat = w.lat[:0]
+	w.drops = 0
+	return p95, seen, congested
+}
+
+// controller is the per-class adaptive-placement state: the observation
+// window since the last decision and the seeded stream every decision
+// draws from (a compact value-embedded prng, like the cameras').
+type controller struct {
+	rng   prng
+	win   window
+	moves int64 // camera moves decided so far
+}
+
+// newControllers builds one controller per adaptive class whose control
+// period ticks within the run; other entries are nil, so a controller
+// that would never decide never collects a window either.
+func newControllers(sc *Scenario) []*controller {
 	ctls := make([]*controller, len(sc.Classes))
 	for ci := range sc.Classes {
-		if !sc.Classes[ci].adaptive() {
-			continue
-		}
-		h := splitmix64(splitmix64(uint64(sc.Seed)^0xc0117801) + uint64(ci))
-		ctls[ci] = &controller{
-			rng:  newPRNG(int64(h)),
-			rowJ: rowJ[ci],
-		}
-		if rowDelay != nil {
-			ctls[ci].rowDelay = rowDelay[ci]
+		if sc.Classes[ci].adaptive() && sc.Classes[ci].Policy.IntervalSec < sc.Duration {
+			ctls[ci] = &controller{rng: newPRNG(streamSeed(sc.Seed, seedControllers, ci))}
 		}
 	}
 	return ctls
 }
 
-// meanRowDelta returns the mean per-frame table delta of stepping the
-// movable member cameras one step dir — rows[to]−rows[at], positive when
-// the step costs more of whatever the table prices — and how many
-// cameras could move.
-func meanRowDelta(rows []float64, cams []camera, members []int32, dir int) (float64, int) {
+// rowDelta sums the per-frame table delta rows[to]−rows[at] of stepping
+// the movable member cameras one step dir — positive when the step costs
+// more of whatever the table prices — and counts the cameras that could
+// move.
+func rowDelta(rows []float64, cams []camera, members []int32, dir int) (float64, int) {
 	sum, n := 0.0, 0
 	for _, idx := range members {
 		at := cams[idx].placement
@@ -67,10 +71,7 @@ func meanRowDelta(rows []float64, cams []camera, members []int32, dir int) (floa
 		sum += rows[to] - rows[at]
 		n++
 	}
-	if n == 0 {
-		return 0, 0
-	}
-	return sum / float64(n), n
+	return sum, n
 }
 
 // classRowEnergies prices every placement row of the class in expected
@@ -88,28 +89,15 @@ func classRowEnergies(c *Class, netPerByteJ float64) []float64 {
 	return rows
 }
 
-// observe records one completed offload latency.
-func (c *controller) observe(lat float64) {
-	c.winLat = append(c.winLat, lat)
-}
-
 // decide maps the window onto a placement step: +1 toward in-camera
-// compute, -1 toward offload, 0 to hold. The window is consumed. cams and
-// members carry the class's current placement population, which the
-// energy-latency rule prices.
-func (c *controller) decide(cl *Class, cams []camera, members []int32) int {
+// compute, -1 toward offload, 0 to hold. The window is consumed. rowJ and
+// rowDelay are the class's energy and delay-floor rows (rowDelay nil
+// unless a finite-compute tier sits on its path); cams and members carry
+// the class's current placement population, which the energy-latency
+// rule prices.
+func (c *controller) decide(cl *Class, rowJ, rowDelay []float64, cams []camera, members []int32) int {
 	p := cl.Policy
-	lat := c.winLat
-	drops := c.winDrops
-	c.winLat = c.winLat[:0]
-	c.winDrops = 0
-
-	var p95 float64
-	if len(lat) > 0 {
-		sort.Float64s(lat)
-		p95 = quantile.NearestRank(lat, 0.95)
-	}
-	congested := drops > 0 || (len(lat) > 0 && p95 > p.HighSec)
+	p95, seen, congested := c.win.take(p.HighSec)
 	switch p.Kind {
 	case PolicyLatencyThreshold:
 		// One-way escalation: congestion pushes cameras toward in-camera
@@ -124,7 +112,7 @@ func (c *controller) decide(cl *Class, cams []camera, members []int32) int {
 		if congested {
 			return 1
 		}
-		if len(lat) > 0 && p95 < p.LowSec {
+		if seen && p95 < p.LowSec {
 			return -1
 		}
 	case PolicyEnergyLatency:
@@ -133,8 +121,8 @@ func (c *controller) decide(cl *Class, cams []camera, members []int32) int {
 		if congested {
 			return 1
 		}
-		if p.EnergyWeight > 0 && len(lat) > 0 {
-			return c.energyStep(p, cams, members, p95)
+		if p.EnergyWeight > 0 && seen {
+			return c.energyStep(p, rowJ, rowDelay, cams, members, p95)
 		}
 	}
 	return 0
@@ -147,19 +135,10 @@ func (c *controller) decide(cl *Class, cams []camera, members []int32) int {
 // loads the network), nothing for a step toward in-camera compute (which
 // relieves it). The larger strictly-positive gain wins; in-camera is
 // evaluated first so ties resolve to the congestion-safe direction.
-func (c *controller) energyStep(p PolicyConfig, cams []camera, members []int32, p95 float64) int {
+func (c *controller) energyStep(p PolicyConfig, rowJ, rowDelay []float64, cams []camera, members []int32, p95 float64) int {
 	best, bestGain := 0, 0.0
 	for _, dir := range [2]int{+1, -1} {
-		saved, n := 0.0, 0
-		for _, idx := range members {
-			at := cams[idx].placement
-			to := at + dir
-			if to < 0 || to >= len(c.rowJ) {
-				continue
-			}
-			saved += c.rowJ[at] - c.rowJ[to]
-			n++
-		}
+		sum, n := rowDelta(rowJ, cams, members, dir)
 		if n == 0 {
 			continue
 		}
@@ -167,15 +146,18 @@ func (c *controller) energyStep(p PolicyConfig, cams []camera, members []int32, 
 		if dir < 0 {
 			risk = p95
 		}
-		if c.rowDelay != nil {
+		if rowDelay != nil {
 			// Finite tier compute gives the step a deterministic delay
 			// floor: pay a positive mean increase as extra risk, whichever
 			// direction it comes from (toward offload it is path service;
 			// toward in-camera it is the row's own compute seconds).
-			if d, dn := meanRowDelta(c.rowDelay, cams, members, dir); dn > 0 && d > 0 {
-				risk += d
+			if d, dn := rowDelta(rowDelay, cams, members, dir); dn > 0 && d/float64(dn) > 0 {
+				risk += d / float64(dn)
 			}
 		}
+		// Negating the summed cost delta is exact (rounding is
+		// sign-symmetric), so saved equals the summed per-camera savings.
+		saved := -sum
 		if gain := p.EnergyWeight*saved/float64(n) - risk; gain > bestGain {
 			best, bestGain = dir, gain
 		}
@@ -187,23 +169,26 @@ func (c *controller) energyStep(p PolicyConfig, cams []camera, members []int32, 
 // in the decided direction, choosing which cameras from the controller's
 // seeded stream. Returns the number of cameras moved.
 func (c *controller) move(cl *Class, cams []camera, members []int32, dir int) int {
-	k := int(cl.Policy.MoveFraction*float64(len(members)) + 0.5)
-	if k < 1 {
-		k = 1
-	}
-	moved := moveBatch(&c.rng, cams, members, len(cl.Placements)-1, dir, k)
+	k := batchSize(cl.Policy.MoveFraction, len(members))
+	moved := moveBatch(&c.rng, cams, members, len(cl.Placements)-1, dir, k, nil)
 	c.moves += int64(moved)
 	return moved
 }
 
+// batchSize is the per-decision move cap: frac of n cameras, rounded to
+// nearest, at least one.
+func batchSize(frac float64, n int) int {
+	return max(1, int(frac*float64(n)+0.5))
+}
+
 // moveBatch moves up to k of the member cameras one placement step in
 // direction dir, clamped to table rows [0, last], and returns how many
-// moved. Which cameras move is a uniform k-subset of the movable
-// candidates drawn from rng via a partial Fisher-Yates, in an order fixed
-// by the stream. The global controller's moveAccept interleaves the same
-// draw with per-camera budget acceptance, which this unconditional form
-// cannot express — keep their shuffle steps identical if either changes.
-func moveBatch(rng *prng, cams []camera, members []int32, last, dir, k int) int {
+// moved. The order in which cameras are considered is a partial
+// Fisher-Yates over the movable candidates drawn from rng, one draw per
+// camera considered. Without admit the first k drawn move — a uniform
+// k-subset. With it, each drawn camera is offered to admit before it
+// moves: take false skips it and the draw continues, stop ends the batch.
+func moveBatch(rng *prng, cams []camera, members []int32, last, dir, k int, admit func(idx int32) (take, stop bool)) int {
 	var candidates []int32
 	for _, idx := range members {
 		p := cams[idx].placement + dir
@@ -211,16 +196,22 @@ func moveBatch(rng *prng, cams []camera, members []int32, last, dir, k int) int 
 			candidates = append(candidates, idx)
 		}
 	}
-	if len(candidates) == 0 || k <= 0 {
-		return 0
-	}
-	if k > len(candidates) {
-		k = len(candidates)
-	}
-	for i := 0; i < k; i++ {
+	moved := 0
+	for i := 0; i < len(candidates) && moved < k; i++ {
 		j := i + rng.Intn(len(candidates)-i)
 		candidates[i], candidates[j] = candidates[j], candidates[i]
-		cams[candidates[i]].placement += dir
+		idx := candidates[i]
+		if admit != nil {
+			take, stop := admit(idx)
+			if stop {
+				break
+			}
+			if !take {
+				continue
+			}
+		}
+		cams[idx].placement += dir
+		moved++
 	}
-	return k
+	return moved
 }

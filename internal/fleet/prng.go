@@ -16,9 +16,8 @@ import (
 // gamma) and returns a finalizing mix of the new state, so every seed
 // yields a full-period (2^64) stream and two streams whose mixed seeds
 // differ anywhere are statistically independent. Seeds come from
-// cameraSeed and the controller derivations, which are themselves
-// splitmix64-mixed, so consecutive camera indexes start at unrelated
-// stream positions.
+// streamSeed, which is itself splitmix64-mixed, so consecutive camera
+// indexes start at unrelated stream positions.
 //
 // prng implements rand.Source64, so a stream can still feed rand.New
 // where the full math/rand surface is needed; the direct Float64 /
@@ -71,4 +70,33 @@ func (p *prng) Intn(n int) int {
 		panic("fleet: prng.Intn with non-positive n")
 	}
 	return int(p.Uint64() % uint64(n))
+}
+
+// Seed-family tags, one per independent stream family. Each family's
+// streams are keyed by an index within it (camera, class, schedule
+// entry, ...), and the tag folded into the seed round keeps the families
+// disjoint, so enabling one subsystem never perturbs another's draws.
+const (
+	seedCameras     = 0 // per-camera traffic streams, by global camera index
+	seedControllers = 0xc0117801
+	seedGlobal      = 0x61017ba1
+	seedFederated   = 0xfedc0de5
+	seedDynamics    = 0xd11aa1c5
+)
+
+// streamSeed derives a well-separated stream seed from the scenario seed,
+// a family tag and an index, so a stream is a function of (seed, family,
+// index) alone — stable under reordering, class edits elsewhere, or
+// parallel sweeps. Two full mixing rounds keep every seed bit live, so
+// no (seed, index) pair collides with another, at any camera count.
+func streamSeed(seed int64, tag uint64, idx int) int64 {
+	return int64(splitmix64(splitmix64(uint64(seed)^tag) + uint64(idx)))
+}
+
+// splitmix64 is one round of the splitmix64 mixer.
+func splitmix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
 }

@@ -161,27 +161,11 @@ type transfer struct {
 }
 
 // flPart is one federated participant: a camera's attach tier plus its
-// own jitter stream, a third seed family (cameras, controllers,
-// federated) so enabling a federated job never perturbs frame traffic
-// draws.
+// own jitter stream, in the federated seed family (streamSeed) so
+// enabling a federated job never perturbs frame traffic draws.
 type flPart struct {
 	tier int32
 	rng  prng
-}
-
-// flSeed derives a participant's jitter-stream seed from the scenario
-// seed and the camera's global index, two full splitmix64 rounds under
-// the federated family tag.
-func flSeed(seed int64, idx int) int64 {
-	return int64(splitmix64(splitmix64(uint64(seed)^0xfedc0de5) + uint64(idx)))
-}
-
-// splitmix64 is one round of the splitmix64 mixer.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
 }
 
 // clampEst converts a float capacity estimate to an int usable as a make
@@ -199,15 +183,6 @@ func clampEst(x float64) int {
 		return estCap
 	}
 	return int(x)
-}
-
-// cameraSeed derives a well-separated per-camera seed, so a camera's random
-// stream is a function of (seed, index) alone — stable under reordering,
-// class edits elsewhere, or parallel sweeps. Two full mixing rounds keep
-// every seed bit live: the earlier seed<<20+idx pre-mix discarded the
-// seed's top 20 bits and collided outright for camera indexes ≥ 2^20.
-func cameraSeed(seed int64, idx int) int64 {
-	return int64(splitmix64(splitmix64(uint64(seed)) + uint64(idx)))
 }
 
 // Run executes one scenario to completion: captures stop at
@@ -264,7 +239,8 @@ type engine struct {
 	compWait []*quantile.Sketch
 
 	// firstHop is the tier each class's cameras transmit on; rowJ and
-	// rowDelay price each class's placement rows (see routeClass).
+	// rowDelay price each class's placement rows (see routeClass) and are
+	// passed into every controller decision.
 	firstHop []int
 	rowJ     [][]float64
 	rowDelay [][]float64
@@ -322,6 +298,7 @@ func newEngine(sc Scenario) (*engine, error) {
 	}
 	e.firstHop = make([]int, len(sc.Classes))
 	e.rowJ = make([][]float64, len(sc.Classes))
+	e.rowDelay = make([][]float64, len(sc.Classes))
 	for ci := range sc.Classes {
 		e.routeClass(ci, classAttachIndex(nodes, &sc.Classes[ci]))
 	}
@@ -349,8 +326,8 @@ func newEngine(sc Scenario) (*engine, error) {
 	}
 	e.cams = make([]camera, 0, sc.Cameras())
 	e.classCams = make([][]int32, len(sc.Classes))
-	e.ctls = newControllers(&e.sc, e.rowJ, e.rowDelay)
-	e.gctl = newGlobal(&e.sc, e.rowJ, e.rowDelay)
+	e.ctls = newControllers(&e.sc)
+	e.gctl = newGlobal(&e.sc)
 	e.res = newResult(e.sc)
 	e.seedEvents()
 	e.transfers = make([]transfer, 0, sc.Cameras())
@@ -412,9 +389,7 @@ func (e *engine) buildLinks() error {
 // every hop to the root), and rowDelay in deterministic delay seconds
 // per frame (classRowDelays) — nil per class unless a compute tier sits
 // on its offload path, so scenarios without the section keep the
-// controllers' legacy arithmetic bit for bit. rowJ and rowDelay are the
-// outer slices the global controller holds, so element reassignment is
-// visible to it.
+// controllers' legacy arithmetic bit for bit.
 func (e *engine) routeClass(ci, ti int) {
 	e.firstHop[ci] = ti
 	pathFwdJ := 0.0
@@ -423,16 +398,9 @@ func (e *engine) routeClass(ci, ti int) {
 	}
 	cl := &e.sc.Classes[ci]
 	e.rowJ[ci] = classRowEnergies(cl, pathFwdJ)
+	e.rowDelay[ci] = nil
 	if scale := classPathScale(e.nodes, e.compPlan, ci, ti); scale > 0 {
-		if e.rowDelay == nil {
-			e.rowDelay = make([][]float64, len(e.sc.Classes))
-			if e.gctl != nil {
-				e.gctl.rowDelay = e.rowDelay
-			}
-		}
 		e.rowDelay[ci] = classRowDelays(cl, scale)
-	} else if e.rowDelay != nil {
-		e.rowDelay[ci] = nil
 	}
 }
 
@@ -480,7 +448,7 @@ func (e *engine) seedEvents() {
 		for k := 0; k < cl.Count; k++ {
 			e.spawnCamera(ci, 0)
 		}
-		if e.ctls[ci] != nil && cl.Policy.IntervalSec < sc.Duration {
+		if e.ctls[ci] != nil {
 			e.push(cl.Policy.IntervalSec, evControl, int32(ci), 0)
 		}
 	}
@@ -551,14 +519,14 @@ func (e *engine) loop() error {
 			ci := int(ev.a)
 			cl := &e.sc.Classes[ci]
 			ctl := e.ctls[ci]
-			if dir := ctl.decide(cl, e.cams, e.classCams[ci]); dir != 0 {
+			if dir := ctl.decide(cl, e.rowJ[ci], e.rowDelay[ci], e.cams, e.classCams[ci]); dir != 0 {
 				ctl.move(cl, e.cams, e.classCams[ci], dir)
 			}
 			if nt := ev.t + cl.Policy.IntervalSec; nt < e.sc.Duration {
 				e.push(nt, evControl, ev.a, 0)
 			}
 		case evGlobal:
-			e.gctl.epoch(ev.t, &e.sc, e.cams, e.classCams)
+			e.gctl.epoch(ev.t, &e.sc, e.rowJ, e.rowDelay, e.cams, e.classCams)
 			if nt := ev.t + e.sc.Global.EpochSec; nt < e.sc.Duration {
 				e.push(nt, evGlobal, 0, 0)
 			}

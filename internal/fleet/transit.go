@@ -112,10 +112,11 @@ func (e *engine) complete(arrive float64, id int) {
 		st.latencies = append(st.latencies, lat)
 	}
 	if ctl := e.ctls[c.class]; ctl != nil {
-		ctl.observe(lat)
+		ctl.win.lat = append(ctl.win.lat, lat)
 	}
-	if e.gctl != nil {
-		e.gctl.observe(c.class, lat)
+	if e.gctl != nil && e.gctl.wins != nil {
+		w := &e.gctl.wins[c.class]
+		w.lat = append(w.lat, lat)
 	}
 	if arrive > e.res.SimEnd {
 		e.res.SimEnd = arrive
