@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 
@@ -14,7 +15,7 @@ import (
 // placement meets 30 FPS on a private link, this asks which placement
 // keeps offload latency and drops bounded as the fleet grows and the link
 // is contended.
-func cmdFleet(args []string) error {
+func cmdFleet(args []string) (err error) {
 	fs := flag.NewFlagSet("fleet", flag.ContinueOnError)
 	n := fs.Int("n", 200, "cameras in the largest fleet point (75% face-auth, 25% VR)")
 	seed := fs.Int64("seed", 1, "simulation seed")
@@ -25,10 +26,17 @@ func cmdFleet(args []string) error {
 	workers := fs.Int("workers", 0, "parallel sweep workers (0 = GOMAXPROCS)")
 	scenario := fs.String("scenario", "", "run one JSON scenario file instead of the built-in sweep (other flags ignored)")
 	timeseries := fs.String("timeseries", "", "with -scenario: write the windowed telemetry time series to this file (.json for JSON, else CSV)")
+	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
+	memprofile := fs.String("memprofile", "", "write a heap profile to this file once the run ends (go tool pprof)")
 	fs.Usage = fleetUsage(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	stop, err := startProfiles(*cpuprofile, *memprofile)
+	if err != nil {
+		return err
+	}
+	defer func() { err = errors.Join(err, stop()) }()
 	if *scenario != "" {
 		return runScenarioFile(*scenario, *timeseries)
 	}

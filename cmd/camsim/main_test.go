@@ -1,6 +1,8 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
 	"testing"
 
 	"camsim/internal/core"
@@ -96,4 +98,28 @@ func TestFig10PipelineMatchesPaperTotals(t *testing.T) {
 // corePlacement builds a placement from an impl list.
 func corePlacement(impl []string) core.Placement {
 	return core.Placement{InCamera: len(impl), Impl: impl}
+}
+
+// TestProfileFlagsWriteProfiles drives -cpuprofile and -memprofile
+// through both fleet commands, the built-in sweep and a -scenario file,
+// and checks that each run leaves two non-empty profiles behind.
+func TestProfileFlagsWriteProfiles(t *testing.T) {
+	for name, tc := range map[string]struct {
+		run  func([]string) error
+		args []string
+	}{
+		"fleet": {cmdFleet, []string{"-n", "16", "-duration", "0.5"}},
+		"topo":  {cmdTopo, []string{"-scenario", filepath.FromSlash(exampleScenario)}},
+	} {
+		dir := t.TempDir()
+		cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+		if err := tc.run(append(tc.args, "-cpuprofile", cpu, "-memprofile", mem)); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, f := range []string{cpu, mem} {
+			if st, err := os.Stat(f); err != nil || st.Size() == 0 {
+				t.Errorf("%s: profile %s missing or empty (%v)", name, filepath.Base(f), err)
+			}
+		}
+	}
 }

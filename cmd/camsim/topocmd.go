@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 
@@ -43,7 +44,7 @@ import (
 // a diurnal rate swell, camera churn, a gateway outage whose cameras
 // re-home to the sibling and back, a degraded backhaul — compared
 // against the identical fleet with the schedule stripped.
-func cmdTopo(args []string) error {
+func cmdTopo(args []string) (err error) {
 	fs := flag.NewFlagSet("topo", flag.ContinueOnError)
 	seed := fs.Int64("seed", 1, "simulation seed")
 	duration := fs.Float64("duration", 8, "simulated seconds of capture")
@@ -55,10 +56,17 @@ func cmdTopo(args []string) error {
 	workers := fs.Int("workers", 0, "parallel sweep workers (0 = GOMAXPROCS)")
 	scenario := fs.String("scenario", "", "run one JSON scenario file instead of the built-in demo (other flags ignored)")
 	timeseries := fs.String("timeseries", "", "with -scenario: write the windowed telemetry time series to this file (.json for JSON, else CSV)")
+	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
+	memprofile := fs.String("memprofile", "", "write a heap profile to this file once the run ends (go tool pprof)")
 	fs.Usage = topoUsage(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	stop, err := startProfiles(*cpuprofile, *memprofile)
+	if err != nil {
+		return err
+	}
+	defer func() { err = errors.Join(err, stop()) }()
 	if *scenario != "" {
 		return runScenarioFile(*scenario, *timeseries)
 	}

@@ -39,22 +39,24 @@ func groupedUsage(fs *flag.FlagSet, synopsis string, groups []flagGroup) func() 
 }
 
 // topoUsage groups the topo flags: which demo runs, then the knobs every
-// demo shares, then scenario-file I/O.
+// demo shares, then scenario-file I/O and profiling.
 func topoUsage(fs *flag.FlagSet) func() {
 	return groupedUsage(fs, "topo [flags]", []flagGroup{
 		{"demo selection (default: adaptive-placement policy comparison)",
 			[]string{"compute", "depth", "dynamics", "fl", "global"}},
 		{"simulation", []string{"seed", "duration", "workers"}},
 		{"scenario files", []string{"scenario", "timeseries"}},
+		{"profiling", []string{"cpuprofile", "memprofile"}},
 	})
 }
 
 // fleetUsage groups the fleet flags: the sweep's shape, the shared
-// simulation knobs, then scenario-file I/O.
+// simulation knobs, then scenario-file I/O and profiling.
 func fleetUsage(fs *flag.FlagSet) func() {
 	return groupedUsage(fs, "fleet [flags]", []flagGroup{
 		{"sweep shape", []string{"n", "gbps", "contention"}},
 		{"simulation", []string{"seed", "duration", "workers"}},
 		{"scenario files", []string{"scenario", "timeseries"}},
+		{"profiling", []string{"cpuprofile", "memprofile"}},
 	})
 }

@@ -69,17 +69,26 @@ func BenchmarkDeepTopology(b *testing.B) {
 
 // BenchmarkEventHeap is the event queue's own microbenchmark, a hold
 // model at a fixed population: one op pops the earliest event and pushes
-// it back one ExpFloat64 gap later under a fresh seq, the steady state of
-// a fleet whose every camera keeps one capture pending. The 100k case is
-// BenchmarkHugeFleet's heap size, larger than L2; ns/op is the cost of
-// one hold, and the heap never regrows, so allocs/op must read 0.
+// it back later under a fresh seq, the steady state of a fleet whose every
+// camera keeps one capture pending. In the 1k and 100k cases the push
+// comes one ExpFloat64 gap later; the 100k case is BenchmarkHugeFleet's
+// queue size, larger than L2. The mixed-100k case draws the engine's
+// delays instead: half capture gaps, half the ready, hop and arrive
+// delays (0.2–10 ms) that land close to the current time. ns/op is the
+// cost of one hold, and the queue's storage is reused, so allocs/op must
+// read 0.
 func BenchmarkEventHeap(b *testing.B) {
-	for _, n := range []int{1_000, 100_000} {
-		b.Run(fmt.Sprintf("%dk", n/1000), func(b *testing.B) {
+	short := []float64{0.005, 0.0002, 0.002, 0.01}
+	for _, bc := range []struct {
+		name  string
+		n     int
+		mixed bool
+	}{{"1k", 1_000, false}, {"100k", 100_000, false}, {"mixed-100k", 100_000, true}} {
+		b.Run(bc.name, func(b *testing.B) {
 			rng := newPRNG(1)
-			h := make(eventHeap, 0, n)
+			h := newEventHeap(bc.n)
 			var seq uint64
-			for i := 0; i < n; i++ {
+			for i := 0; i < bc.n; i++ {
 				h.push(event{t: rng.ExpFloat64(), key: seq<<kindBits | evCapture, a: int32(i)})
 				seq++
 			}
@@ -87,7 +96,11 @@ func BenchmarkEventHeap(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				ev := h.pop()
-				ev.t += rng.ExpFloat64()
+				if bc.mixed && rng.Uint64()&1 == 0 {
+					ev.t += short[rng.Intn(len(short))]
+				} else {
+					ev.t += rng.ExpFloat64()
+				}
 				ev.key = seq<<kindBits | evCapture
 				seq++
 				h.push(ev)
@@ -101,7 +114,7 @@ func BenchmarkEventHeap(b *testing.B) {
 // iteration is a full run at the fleet size the ROADMAP targets. The
 // alloc counters are the regression surface — steady-state stepping is
 // designed to be allocation-free (boxing-free heaps, value-embedded
-// per-camera PRNGs, transfer free-list, preallocated event heap and
+// per-camera PRNGs, transfer free-list, pooled event queue and
 // latency slices), so allocs/op stays proportional to the camera count,
 // not the frame count. Baselines live in BENCH_topology.json and are
 // gated by cmd/benchgate in CI.

@@ -404,28 +404,34 @@
 // 100k cameras over 41 links; BenchmarkDeepTopology pins the 10k shape,
 // both gated in CI by cmd/benchgate against BENCH_topology.json):
 //
-//   - Per-event cost: one pop from the event heap, a 4-ary min-heap of
-//     24-byte events (O(log₄ events) levels, no interface boxing —
-//     container/heap cost one allocation per Push), plus O(log n)
-//     fair-share virtual-time accounting on the link (psHeap) and
-//     O(log links) completion lookup (liHeap). An event is its time, one
-//     word packing the scheduling seq over a 4-bit kind, and two int32
-//     payload words; a frame's capture time and payload live in its
-//     transfer record, created at capture. Sifts carry a hole, moving one
-//     event per level instead of swapping two, and 100k pending events
-//     take 2.4 MB. All three heaps preserve container/heap's exact pop
-//     order, proven differentially by TestHeapsMatchContainerHeap. The
-//     FIFO discipline keeps a power-of-two ring, so wrap-around is a
-//     mask, not a modulo.
+//   - Per-event cost: one pop from the event queue, a ladder queue of
+//     24-byte events whose hold (pop the earliest, push its successor)
+//     costs O(1) amortized — an unsorted top for the far future, rungs
+//     of unsorted buckets each finer than the one above, and a short
+//     sorted bottom run the loop pops from — plus O(log n) fair-share
+//     virtual-time accounting on the link (psHeap) and O(log links)
+//     completion lookup (liHeap). No event is boxed in an interface
+//     (container/heap cost one allocation per Push). An event is its
+//     time, one word packing the scheduling seq over a 4-bit kind, and
+//     two int32 payload words; a frame's capture time and payload live
+//     in its transfer record, created at capture. Buckets are int32
+//     linked lists through one node pool, 28 bytes per pending event
+//     (2.8 MB at 100k). The queue and both heaps preserve
+//     container/heap's exact pop order, proven differentially by
+//     TestHeapsMatchContainerHeap. The FIFO discipline keeps a
+//     power-of-two ring, so wrap-around is a mask, not a modulo.
 //   - Memory model: each camera embeds its random stream by value — an
 //     8-byte splitmix64 state (prng) instead of a *rand.Rand whose
 //     lagged-Fibonacci source is ~5 KB of heap per camera — so 100k
 //     cameras cost ~800 KB of inline state rather than ~500 MB of
 //     pointer-chased boxes. Transfer ids are recycled through a free
 //     list, bounding transfer storage by the peak in-flight population
-//     instead of the total frame count, and the event heap and per-class
-//     latency slices are preallocated from FPS × Duration × Count
-//     estimates, so the loop never regrows them.
+//     instead of the total frame count. The event queue's node pool
+//     starts at the seeded population (one pending capture per camera
+//     plus the control, global, federated and fault-schedule events),
+//     grows by append only past it, and recycles nodes through a free
+//     list. Per-class latency slices are preallocated from FPS ×
+//     Duration × Count estimates, so the loop never regrows them.
 //   - Seeded-stream shift: moving from rand.Rand's ziggurat draws to the
 //     prng's inversion-based ExpFloat64 / 53-bit Float64 shifted every
 //     seeded stream once (goldens were regenerated, as for the PR 3 seed

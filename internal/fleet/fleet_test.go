@@ -105,6 +105,49 @@ func TestValidateAcceptsWhatRunAccepts(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsUnrunnableRatesAndComputeTimes pins the capture
+// rates and compute times Run cannot execute: a NaN rate captures
+// nothing, an infinite or huge one never advances the capture clock (Run
+// would not return), and an infinite compute time crashes the drain. Each
+// must be an error from Validate and from Run alike.
+func TestValidateRejectsUnrunnableRatesAndComputeTimes(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name string
+		edit func(*Class)
+		want string
+	}{
+		{"fps NaN", func(c *Class) { c.FPS = nan }, "must be positive and finite"},
+		{"fps +Inf", func(c *Class) { c.FPS = inf }, "must be positive and finite"},
+		{"fps 1e300", func(c *Class) { c.FPS = 1e300 }, "too high"},
+		{"fps 1e17", func(c *Class) { c.FPS = 1e17 }, "too high"},
+		{"compute_sec NaN", func(c *Class) { c.ComputeSeconds = nan }, "compute_sec NaN"},
+		{"compute_sec +Inf", func(c *Class) { c.ComputeSeconds = inf }, "compute_sec +Inf"},
+		{"placement compute_sec NaN", func(c *Class) {
+			c.Placements = []PlacementCost{{Name: "raw", FrameBytes: 10, ComputeSeconds: nan}}
+		}, "compute_sec NaN"},
+		{"placement compute_sec +Inf", func(c *Class) {
+			c.Placements = []PlacementCost{{Name: "raw", FrameBytes: 10, ComputeSeconds: inf}}
+		}, "compute_sec +Inf"},
+	}
+	for _, tc := range cases {
+		sc := Scenario{Duration: 2, Uplink: UplinkConfig{Gbps: 1},
+			Classes: []Class{{Name: "c", Count: 2, FPS: 1, FrameBytes: 10}}}
+		tc.edit(&sc.Classes[0])
+		if err := sc.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Validate error %v, want one containing %q", tc.name, err, tc.want)
+		}
+		if _, err := Run(sc); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Run error %v, want one containing %q", tc.name, err, tc.want)
+		}
+	}
+	// The huge rate is valid JSON, so the file path must refuse it too.
+	if _, err := ParseScenario([]byte(`{"duration_sec": 2, "uplink": {"gbps": 1},
+		"classes": [{"name": "c", "count": 1, "fps": 1e300, "frame_bytes": 10}]}`)); err == nil {
+		t.Error("ParseScenario accepted fps 1e300")
+	}
+}
+
 func TestParsedFlatScenarioTakesContentionOverride(t *testing.T) {
 	// The fleet-sweep pattern: parse a flat scenario once, then vary its
 	// top-level uplink in Go. Parsing leaves the flat form as written, so

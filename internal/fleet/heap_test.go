@@ -109,12 +109,11 @@ func TestHeapsMatchContainerHeap(t *testing.T) {
 			eventOrder,
 			func(ev event) { e.push(ev.t, ev.kind(), ev.a, ev.b) },
 			func() event { return e.events.pop() },
-			func() int { return len(e.events) })
+			func() int { return e.events.len() })
 	})
 
-	// The deep regime grows the heap past 20k events, so sifts run
-	// through at least seven 4-ary levels below the root, with
-	// continuous times mixed into the tie-heavy set.
+	// The deep regime grows the queue past 20k events, with continuous
+	// times mixed into the tie-heavy set.
 	t.Run("eventHeapDeep", func(t *testing.T) {
 		rng := rand.New(rand.NewSource(104))
 		var e engine
@@ -127,9 +126,87 @@ func TestHeapsMatchContainerHeap(t *testing.T) {
 			eventOrder,
 			func(ev event) { e.push(ev.t, ev.kind(), ev.a, ev.b) },
 			func() event { return e.events.pop() },
-			func() int { return len(e.events) })
+			func() int { return e.events.len() })
 		if peak <= 20000 {
 			t.Fatalf("peak heap size %d, want > 20000", peak)
+		}
+	})
+
+	// The engine-shaped regime is the fleet's hold model at 100k events:
+	// each pop pushes its successor one exponential capture gap or one
+	// short ready, hop or arrive delay later, and a few go below the
+	// current minimum. It opens on a 10k block at t = 0 (as at seeding),
+	// fires a 10k burst at one time mid-run (as a dynamics entry does),
+	// and drains to empty before refilling below the old times, so the
+	// ladder runs every path: rungs spawned from top and from buckets,
+	// equal-time buckets sorted whole, sorted inserts into bottom and the
+	// restart after a drain.
+	t.Run("eventHeapHold", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(105))
+		var e engine
+		ref := &refHeap[event]{less: eventOrder}
+		rungs := 0
+		push := func(at float64, kind int, a int32) {
+			heap.Push(ref, event{t: at, key: e.seq<<kindBits | uint64(kind), a: a})
+			e.push(at, kind, a, 0)
+		}
+		pop := func() event {
+			if got, want := e.events.peekT(), ref.items[0].t; got != want {
+				t.Fatalf("peekT %v, reference minimum %v", got, want)
+			}
+			got, want := e.events.pop(), heap.Pop(ref).(event)
+			if got != want {
+				t.Fatalf("popped %+v, reference popped %+v", got, want)
+			}
+			rungs = max(rungs, e.events.nr)
+			return got
+		}
+		seed := func(n int) {
+			for i := 0; i < n/10; i++ {
+				push(0, evCapture, int32(i))
+			}
+			for i := n / 10; i < n; i++ {
+				push(rng.ExpFloat64()/2, evCapture, int32(i))
+			}
+		}
+		delays := []float64{0.005, 0.0002, 0.002, 0.01}
+		hold := func(ops int) {
+			for i := 0; i < ops; i++ {
+				ev := pop()
+				switch r := rng.Float64(); {
+				case r < 0.5:
+					push(ev.t+rng.ExpFloat64()/2, evCapture, ev.a)
+				case r < 0.99:
+					push(ev.t+delays[rng.Intn(len(delays))], evHop+rng.Intn(2), ev.a)
+				default:
+					push(ev.t-rng.Float64(), evReady, ev.a)
+				}
+				if e.events.len() != ref.Len() {
+					t.Fatalf("size %d, reference %d", e.events.len(), ref.Len())
+				}
+			}
+		}
+		const n = 100_000
+		seed(n)
+		hold(2 * n)
+		burst := ref.items[0].t + 0.25
+		for i := 0; i < n/10; i++ {
+			push(burst, evDynamics, int32(i))
+		}
+		hold(n)
+		for ref.Len() > 0 {
+			pop()
+		}
+		if e.events.len() != 0 {
+			t.Fatalf("queue retains %d events after drain", e.events.len())
+		}
+		seed(n)
+		hold(n)
+		for ref.Len() > 0 {
+			pop()
+		}
+		if rungs < 2 {
+			t.Fatalf("at most %d rung(s) live at once, want the multi-rung path (≥ 2)", rungs)
 		}
 	})
 

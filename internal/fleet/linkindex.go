@@ -20,7 +20,7 @@ type linkIndex struct {
 	h     liHeap
 	// inFlight counts transfers resident in any link (one transfer
 	// crossing k tiers counts once per currently occupied link).
-	// Transfers mid-propagation between links sit in the event heap
+	// Transfers mid-propagation between links sit in the event queue
 	// instead, so the event loop's condition still sees them.
 	inFlight int
 	// finished counts the transfers each link has completed.

@@ -441,14 +441,22 @@ func (sc *Scenario) validate(nodes []tierNode) error {
 		if c.Count <= 0 {
 			return fmt.Errorf("fleet: class %q: count %d must be positive", c.Name, c.Count)
 		}
-		if c.FPS <= 0 {
-			return fmt.Errorf("fleet: class %q: fps %v must be positive", c.Name, c.FPS)
+		if !(c.FPS > 0) || math.IsInf(c.FPS, 0) {
+			return fmt.Errorf("fleet: class %q: fps %v must be positive and finite", c.Name, c.FPS)
+		}
+		if sc.Duration+1/c.FPS == sc.Duration {
+			// The capture clock would stall before the horizon.
+			return fmt.Errorf("fleet: class %q: fps %v is too high for its capture period to advance the clock at duration %v",
+				c.Name, c.FPS, sc.Duration)
 		}
 		if c.Arrival != ArrivalPeriodic && c.Arrival != ArrivalPoisson {
 			return fmt.Errorf("fleet: class %q: unknown arrival pattern %q", c.Name, c.Arrival)
 		}
-		if c.FrameBytes < 0 || c.ComputeSeconds < 0 || c.QueueDepth < 0 {
-			return fmt.Errorf("fleet: class %q: negative frame bytes, compute time or queue depth", c.Name)
+		if c.FrameBytes < 0 || c.QueueDepth < 0 {
+			return fmt.Errorf("fleet: class %q: negative frame bytes or queue depth", c.Name)
+		}
+		if !(c.ComputeSeconds >= 0) || math.IsInf(c.ComputeSeconds, 0) {
+			return fmt.Errorf("fleet: class %q: compute_sec %v must be finite and non-negative", c.Name, c.ComputeSeconds)
 		}
 		if c.OffloadProb < 0 || c.OffloadProb > 1 {
 			return fmt.Errorf("fleet: class %q: offload probability %v outside [0,1]", c.Name, c.OffloadProb)
@@ -594,7 +602,11 @@ func (c *Class) validatePlacements() error {
 			return fmt.Errorf("fleet: class %q: placement %d (%s) frame bytes %d must be positive",
 				c.Name, i, pc.Name, pc.FrameBytes)
 		}
-		if pc.ComputeSeconds < 0 || pc.ComputeJ < 0 || math.IsNaN(pc.ComputeSeconds) || math.IsNaN(pc.ComputeJ) {
+		if !(pc.ComputeSeconds >= 0) || math.IsInf(pc.ComputeSeconds, 0) {
+			return fmt.Errorf("fleet: class %q: placement %d (%s) compute_sec %v must be finite and non-negative",
+				c.Name, i, pc.Name, pc.ComputeSeconds)
+		}
+		if pc.ComputeJ < 0 || math.IsNaN(pc.ComputeJ) {
 			return fmt.Errorf("fleet: class %q: placement %d (%s) has negative compute cost",
 				c.Name, i, pc.Name)
 		}

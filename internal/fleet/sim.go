@@ -1,8 +1,10 @@
 package fleet
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"camsim/internal/fleet/fl"
 	"camsim/internal/fleet/quantile"
@@ -41,8 +43,8 @@ const kindBits = 4
 
 const _ uint = 1<<kindBits - 1 - evDynamics
 
-// event is one scheduled event, packed into 24 bytes so that a heap
-// sift moves as little memory as possible. key is seq<<kindBits | kind:
+// event is one scheduled event, packed into 24 bytes so that the queue
+// moves as little memory as possible. key is seq<<kindBits | kind:
 // seq is the engine's unique scheduling counter, so ordering on (t, key)
 // is exactly the (t, seq) order — earlier-scheduled events fire first at
 // equal times — and the kind rides along for free.
@@ -65,67 +67,286 @@ type event struct {
 
 func (ev *event) kind() int { return int(ev.key & (1<<kindBits - 1)) }
 
-// eventHeap is a specialized 4-ary min-heap ordered by (t, key). Since
-// the key is unique the order is total, so the pop sequence is provably
-// the one container/heap produces (TestHeapsMatchContainerHeap), while
-// push and pop move event values directly instead of boxing each one
-// through an interface. Four children per node halve the tree's depth
-// against a binary heap, and the sifts carry a hole: each level moves
-// one event instead of swapping two, and the sifted event is written
-// once at the end.
-type eventHeap []event
+// eventHeap is the engine's event queue, a ladder queue (Tang, Goh &
+// Thng, ACM TOMACS 2005) ordered by (t, key). It pops in exactly the
+// order container/heap would (TestHeapsMatchContainerHeap), but a hold —
+// pop the earliest event, push its successor — costs O(1) amortized
+// instead of a heap's O(log n) sift through a tree that outgrows the
+// cache at fleet scale. Events wait in three tiers:
+//
+//   - top, an unsorted list of everything later than ceil;
+//   - rungs, arrays of unsorted buckets, each rung spawned from one
+//     overfull bucket of the rung above and so finer than it;
+//   - bottom, a short sorted run of the earliest events, popped from its
+//     front.
+//
+// A bucket index, floor((t-start)/width) clamped to the rung, is monotone
+// in t, and equal times land in the same bucket. A push goes to top when
+// later than ceil, else to the coarsest rung whose index for it is not
+// below that rung's current bucket, else into bottom by sorted insert; so
+// everything in a finer tier is earlier than everything in a coarser one,
+// and ties split across tiers only in key order. When bottom runs dry,
+// refill hands down the finest rung's next bucket, spawning a finer rung
+// from it while it holds more than ladderThresh events of different
+// times, else sorting it into bottom; top becomes a fresh first rung once
+// every rung is spent.
+//
+// Lists are int32 links through one node pool with a free list, node 0
+// being the nil link, so the queue allocates nothing in steady state. The
+// zero value is an empty queue.
+type eventHeap struct {
+	pool []event // list nodes; pool[0] is unused
+	next []int32 // next[i] links node i within a bucket, top or the free list
+	free int32
+	n    int // events queued
 
-func (eventHeap) less(x, y *event) bool {
+	top            int32   // list head
+	topN           int     // events in top
+	topMin, topMax float64 // their time span
+	ceil           float64 // rungs and bottom hold times ≤ ceil, top the rest
+
+	rungs []rung // rungs[:nr] are live, coarsest first; the rest keep their storage
+	nr    int
+
+	bottom []event // bottom[head:] is sorted by (t, key)
+	head   int
+}
+
+// rung is one level of the ladder: bucket b holds the events whose
+// clamped index floor((t-start)*inv) is b. Buckets before cur have been
+// handed down, and a push whose index falls before cur belongs below.
+type rung struct {
+	start, inv float64
+	cur        int
+	buckets    []int32 // list heads, 0 when empty
+}
+
+const (
+	// ladderThresh is the most events a bucket is sorted into bottom
+	// with; a fuller one spawns a finer rung unless its times are equal.
+	ladderThresh = 48
+	// ladderRungs caps the ladder's depth; a bucket at the cap is sorted
+	// into bottom whatever its size, which costs speed, never order.
+	ladderRungs = 16
+)
+
+// newEventHeap returns an empty queue whose node pool holds n events
+// before it grows.
+func newEventHeap(n int) eventHeap {
+	return eventHeap{pool: make([]event, 1, n+1), next: make([]int32, 1, n+1)}
+}
+
+func (*eventHeap) less(x, y *event) bool {
 	if x.t != y.t {
 		return x.t < y.t
 	}
 	return x.key < y.key
 }
 
+// len is the number of queued events.
+func (h *eventHeap) len() int { return h.n }
+
 func (h *eventHeap) push(ev event) {
-	s := append(*h, ev)
-	j := len(s) - 1
-	for j > 0 {
-		p := (j - 1) / 4
-		if !s.less(&ev, &s[p]) {
-			break
-		}
-		s[j] = s[p]
-		j = p
+	if h.n == 0 {
+		// An empty queue starts over, so a refill after a drain is not
+		// routed by the last run's ladder.
+		h.top, h.topN, h.topMin, h.topMax = 0, 0, math.Inf(1), math.Inf(-1)
+		h.nr, h.ceil = 0, math.Inf(-1)
+		h.bottom, h.head = h.bottom[:0], 0
 	}
-	s[j] = ev
-	*h = s
+	h.n++
+	if ev.t > h.ceil {
+		i := h.node(ev)
+		h.next[i], h.top = h.top, i
+		h.topN++
+		h.topMin, h.topMax = min(h.topMin, ev.t), max(h.topMax, ev.t)
+		return
+	}
+	for k := 0; k < h.nr; k++ {
+		r := &h.rungs[k]
+		if f := (ev.t - r.start) * r.inv; f >= float64(r.cur) {
+			b := len(r.buckets) - 1
+			if f < float64(b) {
+				b = int(f)
+			}
+			i := h.node(ev)
+			h.next[i], r.buckets[b] = r.buckets[b], i
+			return
+		}
+	}
+	h.insertBottom(ev)
 }
 
+// peekT is the earliest queued event's time; the queue must not be empty.
+func (h *eventHeap) peekT() float64 {
+	if h.head == len(h.bottom) {
+		h.refill()
+	}
+	return h.bottom[h.head].t
+}
+
+// pop removes and returns the earliest event; the queue must not be empty.
 func (h *eventHeap) pop() event {
-	s := *h
-	top := s[0]
-	n := len(s) - 1
-	last := s[n]
-	s = s[:n]
-	i := 0
-	for {
-		c := 4*i + 1
-		if c >= n {
-			break
-		}
-		m := c
-		for k, end := c+1, min(c+4, n); k < end; k++ {
-			if s.less(&s[k], &s[m]) {
-				m = k
+	if h.head == len(h.bottom) {
+		h.refill()
+	}
+	ev := h.bottom[h.head]
+	h.head++
+	h.n--
+	return ev
+}
+
+// node stores ev in a pool slot, recycled when one is free.
+func (h *eventHeap) node(ev event) int32 {
+	if i := h.free; i != 0 {
+		h.free = h.next[i]
+		h.pool[i] = ev
+		return i
+	}
+	if len(h.pool) == 0 {
+		h.pool, h.next = append(h.pool, event{}), append(h.next, 0)
+	}
+	h.pool, h.next = append(h.pool, ev), append(h.next, 0)
+	return int32(len(h.pool) - 1)
+}
+
+// insertBottom puts ev into bottom at its sorted place. The engine pushes
+// at or after the current time under the newest key, so the place is
+// usually the end.
+func (h *eventHeap) insertBottom(ev event) {
+	s := h.bottom
+	j := len(s)
+	if j > h.head && h.less(&ev, &s[j-1]) {
+		lo, hi := h.head, j-1
+		for lo < hi {
+			m := int(uint(lo+hi) >> 1)
+			if h.less(&ev, &s[m]) {
+				hi = m
+			} else {
+				lo = m + 1
 			}
 		}
-		if !s.less(&s[m], &last) {
-			break
+		j = lo
+	}
+	if j == h.head && j > 0 {
+		h.head--
+		s[h.head] = ev
+		return
+	}
+	s = append(s, ev)
+	copy(s[j+1:], s[j:len(s)-1])
+	s[j] = ev
+	h.bottom = s
+}
+
+// refill moves the earliest events into the empty bottom: the finest
+// rung's next non-empty bucket, or top once every rung is spent.
+func (h *eventHeap) refill() {
+	h.bottom, h.head = h.bottom[:0], 0
+	for {
+		var head int32
+		var cnt int
+		var lo, hi float64
+		if h.nr == 0 {
+			head, cnt, lo, hi = h.top, h.topN, h.topMin, h.topMax
+			h.top, h.topN, h.topMin, h.topMax = 0, 0, math.Inf(1), math.Inf(-1)
+			h.ceil = hi
+		} else {
+			// The last bucket holds the rung's latest event until it is
+			// taken, and the rung retires as it is, so the scan stops in
+			// range and a push clamped to the last bucket finds it live.
+			r := &h.rungs[h.nr-1]
+			for r.buckets[r.cur] == 0 {
+				r.cur++
+			}
+			head = r.buckets[r.cur]
+			r.buckets[r.cur] = 0
+			r.cur++
+			if r.cur == len(r.buckets) {
+				h.nr--
+			}
+			lo, hi = math.Inf(1), math.Inf(-1)
+			for i := head; i != 0; i = h.next[i] {
+				t := h.pool[i].t
+				cnt, lo, hi = cnt+1, min(lo, t), max(hi, t)
+			}
 		}
-		s[i] = s[m]
-		i = m
+		if !h.spawn(head, cnt, lo, hi) {
+			h.sortDown(head, cnt)
+			return
+		}
 	}
-	if n > 0 {
-		s[i] = last
+}
+
+// spawn spreads the cnt events of list head, whose times span [lo, hi],
+// over a new finest rung of cnt buckets. It declines, leaving the list
+// intact, when the list is short, its times are equal or the ladder is at
+// its depth cap.
+func (h *eventHeap) spawn(head int32, cnt int, lo, hi float64) bool {
+	if cnt <= ladderThresh || h.nr == ladderRungs || !(lo < hi) {
+		return false
 	}
-	*h = s
-	return top
+	inv := float64(cnt) / (hi - lo)
+	if !(inv > 0) || math.IsInf(inv, 1) {
+		return false // the span under- or overflows a float
+	}
+	if h.nr == len(h.rungs) {
+		h.rungs = append(h.rungs, rung{})
+	}
+	r := &h.rungs[h.nr]
+	h.nr++
+	r.start, r.inv, r.cur = lo, inv, 0
+	// A spent rung's buckets are all empty, so reused storage is clear.
+	if cap(r.buckets) < cnt {
+		r.buckets = make([]int32, cnt)
+	}
+	r.buckets = r.buckets[:cnt]
+	for i := head; i != 0; {
+		nx := h.next[i]
+		b := cnt - 1
+		if f := (h.pool[i].t - lo) * inv; f < float64(b) {
+			b = int(f)
+		}
+		h.next[i], r.buckets[b] = r.buckets[b], i
+		i = nx
+	}
+	return true
+}
+
+// sortDown copies the cnt events of list head into the empty bottom,
+// frees their nodes and sorts the run. Lists are built by prepending, so
+// the copy runs backwards to hand the sort the events in push order:
+// equal times then arrive already sorted by key.
+func (h *eventHeap) sortDown(head int32, cnt int) {
+	s := slices.Grow(h.bottom[:0], cnt)[:cnt]
+	j, tail := cnt, int32(0)
+	for i := head; i != 0; i = h.next[i] {
+		j--
+		s[j], tail = h.pool[i], i
+	}
+	if tail != 0 {
+		h.next[tail], h.free = h.free, head
+	}
+	h.bottom = s
+	if cnt > ladderThresh {
+		// Only a list spawn declined for its equal times, its float
+		// span or the depth cap is this long.
+		slices.SortFunc(s, func(x, y event) int {
+			if c := cmp.Compare(x.t, y.t); c != 0 {
+				return c
+			}
+			return cmp.Compare(x.key, y.key)
+		})
+		return
+	}
+	for i := 1; i < cnt; i++ {
+		ev := s[i]
+		j := i
+		for ; j > 0 && h.less(&ev, &s[j-1]); j-- {
+			s[j] = s[j-1]
+		}
+		s[j] = ev
+	}
 }
 
 // camera is one simulated device. The random stream is embedded by value:
@@ -205,7 +426,7 @@ func run(sc Scenario) (*Result, error) {
 }
 
 // engine is the live state of one run, grouped by subsystem. newEngine
-// resolves a scenario into it and seeds the event heap, loop drives it
+// resolves a scenario into it and seeds the event queue, loop drives it
 // until every event has fired and every link has drained, and result
 // assembles the Result. Each subsystem's methods live in its own file:
 // capture and admission in capture.go, transit and completion in
@@ -404,45 +625,38 @@ func (e *engine) routeClass(ci, ti int) {
 	}
 }
 
-// seedEvents sizes the event heap and the latency slices, then pushes
+// seedEvents sizes the event queue and the latency slices, then pushes
 // the initial events: each class's cameras' first captures and its
 // first control tick, the first global epoch, each federated
 // participant's first round, and the whole fault schedule.
 func (e *engine) seedEvents() {
 	sc := &e.sc
-	// Steady-state storage is sized up front so the event loop never
-	// regrows it. The event heap's population is structurally bounded —
-	// each camera owns at most one pending capture plus one live event per
-	// in-flight offload (≤ QueueDepth) — and the expected frame count
-	// FPS × Duration × Count caps that bound for short runs. Latency
-	// slices get the expected completed-offload count per class.
-	heapCap := 1 + len(sc.Classes)
+	// The queue's node pool starts at the seeded population: one pending
+	// capture per camera, one control tick per class, one global epoch,
+	// one ready event per federated participant and the fault schedule.
+	// In-flight offloads add a few events per camera at most, and the
+	// pool grows by append above this. Latency slices get the expected
+	// completed-offload count per class, so the loop never regrows them.
+	pending := 1 + len(sc.Classes)
 	for ci := range sc.Classes {
 		cl := &sc.Classes[ci]
-		frames := cl.FPS * sc.Duration * float64(cl.Count)
-		slots := float64(cl.Count) * float64(1+cl.QueueDepth)
-		if frames+float64(cl.Count) < slots {
-			slots = frames + float64(cl.Count)
-		}
-		heapCap += clampEst(slots)
+		pending += cl.Count
 		if e.tel == nil {
 			// The exact path holds every completed offload's latency; the
 			// streaming path holds O(1) sketches instead, so this is the
 			// frame-scaled allocation telemetry removes.
+			frames := cl.FPS * sc.Duration * float64(cl.Count)
 			e.res.Classes[ci].latencies = make([]float64, 0, clampEst(frames*cl.OffloadProb))
 		}
 		e.classCams[ci] = make([]int32, 0, cl.Count)
 	}
 	if e.fle != nil {
-		// One pending ready event per federated participant at a time.
-		heapCap += e.fle.Cameras()
+		pending += e.fle.Cameras()
 	}
 	if e.dyn != nil {
-		// One pending firing per schedule entry at a time (a recurring
-		// entry re-pushes itself only as it fires).
-		heapCap += len(e.dyn.events)
+		pending += len(e.dyn.events)
 	}
-	e.events = make(eventHeap, 0, heapCap)
+	e.events = newEventHeap(pending)
 	for ci := range sc.Classes {
 		cl := &sc.Classes[ci]
 		for k := 0; k < cl.Count; k++ {
@@ -478,10 +692,10 @@ func (e *engine) push(t float64, kind int, a, b int32) {
 
 // loop runs the simulation until no event remains and no link holds a
 // transfer, interleaving the earliest link completion with the event
-// heap; a completion tying an event fires first.
+// queue; a completion tying an event fires first.
 func (e *engine) loop() error {
-	for len(e.events) > 0 || e.links.inFlight > 0 {
-		if li, lt, ok := e.links.peek(); ok && (len(e.events) == 0 || lt <= e.events[0].t) {
+	for e.events.len() > 0 || e.links.inFlight > 0 {
+		if li, lt, ok := e.links.peek(); ok && (e.events.len() == 0 || lt <= e.events.peekT()) {
 			if math.IsInf(lt, 1) {
 				e.drainStalled()
 				continue

@@ -459,7 +459,8 @@ func (r *Result) Table() string {
 // loop's storage first, the pools' wait sketches after the tier stats,
 // the collector after finalize.
 func (e *engine) result() *Result {
-	e.events, e.transfers, e.freeIDs, e.links.h = nil, nil, nil, nil
+	e.events = eventHeap{}
+	e.transfers, e.freeIDs, e.links.h = nil, nil, nil
 	res := e.res
 	if res.SimEnd < e.sc.Duration {
 		res.SimEnd = e.sc.Duration
