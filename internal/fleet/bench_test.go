@@ -251,3 +251,44 @@ func BenchmarkComputeTiers(b *testing.B) {
 	}
 	b.ReportMetric(busy/float64(b.N), "core-sec/run")
 }
+
+// BenchmarkServers is the queueing disciplines' own microbenchmark:
+// {fifo, fair-share} × {link, 4-core pool}, each held at a fixed
+// in-flight depth. One op is a hold: peek the earliest completion,
+// finish it, and start a job of the next size at that instant. The
+// sizes cycle through a short table, so ties and reorderings occur but
+// the run is the same every time. Storage is reused, so allocs/op must
+// read 0.
+func BenchmarkServers(b *testing.B) {
+	sizes := [...]float64{1, 3, 2, 5, 1, 4}
+	for _, disc := range []string{ContentionFIFO, ContentionFairShare} {
+		for _, kind := range []string{"link", "pool-4"} {
+			for _, depth := range []int{1, 64} {
+				b.Run(fmt.Sprintf("%s/%s/inflight-%d", disc, kind, depth), func(b *testing.B) {
+					var s Link
+					scale := 1000.0 // bytes on a 1 MB/s link
+					if kind == "link" {
+						l, err := NewLink(disc, 1e6)
+						if err != nil {
+							b.Fatal(err)
+						}
+						s = l
+					} else {
+						s = newComputeServer(&ComputeConfig{Cores: 4, Discipline: disc})
+						scale = 0.001 // core-seconds
+					}
+					for i := 0; i < depth; i++ {
+						s.Start(0, i, sizes[i%len(sizes)]*scale)
+					}
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						t, _ := s.NextFinish()
+						id := s.Finish()
+						s.Start(t, id, sizes[i%len(sizes)]*scale)
+					}
+				})
+			}
+		}
+	}
+}

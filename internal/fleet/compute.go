@@ -281,16 +281,17 @@ func (sc Scenario) RowDelaySeconds(class string) ([]float64, error) {
 	return classRowDelays(c, scale), nil
 }
 
-// newComputeServer builds a tier's core pool as a Link whose "bytes" are
-// core-seconds of service demand: the event loop drives it with the
-// same Start/NextFinish/Finish protocol as the network links, so
-// compute completions need no new event kinds and inherit the
-// deterministic (time, link index) tie-break.
-func newComputeServer(cc *ComputeConfig) Link {
+// newComputeServer builds a tier's core pool: Cores servers at one
+// core-second per second, whose "bytes" are core-seconds of service
+// demand (fifoServer or psServer, the same disciplines as the network
+// links). The event loop drives it with the same Start/NextFinish/Finish
+// protocol as the links, so compute completions need no new event kinds
+// and inherit the deterministic (time, link index) tie-break.
+func newComputeServer(cc *ComputeConfig) server {
 	if cc.Discipline == ContentionFairShare {
-		return &psCompute{cores: float64(cc.Cores)}
+		return &psServer{total: float64(cc.Cores), capped: true}
 	}
-	return &fifoCompute{cores: cc.Cores}
+	return &fifoServer{servers: cc.Cores, rate: 1}
 }
 
 // poolDone forwards the frame tier ti's core pool finished at t: it
@@ -305,165 +306,4 @@ func (e *engine) poolDone(t float64, ti, id int) {
 	}
 	e.compWait[ti].Add(w)
 	e.links.start(ti, t, id, tr.bytes)
-}
-
-// --- FIFO core pool ---
-
-// fifoCompute is a multi-server FIFO queue: up to cores frames are in
-// service concurrently, each on its own core at full rate; the rest wait
-// in arrival order and take the core freed by the earliest completion.
-// The waiting queue is the same ring as fifoUplink's. In-service frames
-// sit in a psHeap keyed by wall-clock finish time — at one core each,
-// service level and wall time advance together — with admission order
-// breaking ties, deterministically.
-type fifoCompute struct {
-	fifoRing // waiting frames, arrival order
-	cores    int
-	busy     psHeap
-	seq      int64
-	served   float64 // core-seconds of completed service
-}
-
-func (s *fifoCompute) Name() string { return ContentionFIFO }
-
-func (s *fifoCompute) Start(now float64, id int, work float64) {
-	// In this pool a psItem's vfinish is a wall-clock finish time and its
-	// bytes are core-seconds of work.
-	if len(s.busy) < s.cores {
-		s.busy.push(psItem{vfinish: now + work, seq: s.seq, id: id, bytes: work})
-		s.seq++
-		return
-	}
-	s.push(fifoItem{id: id, bytes: work})
-}
-
-func (s *fifoCompute) NextFinish() (float64, bool) {
-	if len(s.busy) == 0 {
-		return 0, false
-	}
-	return s.busy[0].vfinish, true
-}
-
-func (s *fifoCompute) Finish() int {
-	it := s.busy.pop() // vfinish is wall-clock time, bytes core-seconds
-	s.served += it.bytes
-	if s.n > 0 && len(s.busy) < s.cores {
-		// The freed core immediately takes the longest-waiting frame. The
-		// cores check only bites after a dynamics shrink: frames already
-		// in service run to completion, and the pool promotes nothing
-		// until the busy population fits the new size.
-		next := s.pop()
-		s.busy.push(psItem{vfinish: it.vfinish + next.bytes, seq: s.seq, id: next.id, bytes: next.bytes})
-		s.seq++
-	}
-	return it.id
-}
-
-func (s *fifoCompute) InFlight() int        { return len(s.busy) + s.n }
-func (s *fifoCompute) ServedBytes() float64 { return s.served }
-
-// setCores resizes the pool at time now. Growth promotes waiting frames
-// onto the new cores immediately; shrink never preempts — in-service
-// frames finish, and the pool re-admits only below the new size.
-func (s *fifoCompute) setCores(now float64, cores int) {
-	s.cores = cores
-	for len(s.busy) < s.cores && s.n > 0 {
-		next := s.pop()
-		s.busy.push(psItem{vfinish: now + next.bytes, seq: s.seq, id: next.id, bytes: next.bytes})
-		s.seq++
-	}
-}
-
-// drain removes every frame — in-service completion order first, then
-// waiting order — crediting no served core-seconds.
-func (s *fifoCompute) drain() []int {
-	ids := make([]int, 0, len(s.busy)+s.n)
-	for len(s.busy) > 0 {
-		ids = append(ids, s.busy.pop().id)
-	}
-	for s.n > 0 {
-		ids = append(ids, s.pop().id)
-	}
-	return ids
-}
-
-// --- fair-share core pool ---
-
-// psCompute shares the pool by egalitarian processor sharing with the
-// same virtual-time machinery as psUplink, with one extra constraint: a
-// frame cannot run faster than one core, so with n frames in flight each
-// progresses at min(1, cores/n) core-seconds per second — an underloaded
-// pool runs every frame at full speed instead of splitting idle cores.
-type psCompute struct {
-	cores  float64
-	vnow   float64 // virtual service accrued by every in-flight frame
-	tlast  float64 // wall time at which vnow was computed
-	h      psHeap
-	seq    int64
-	served float64 // core-seconds of completed service
-}
-
-func (s *psCompute) Name() string { return ContentionFairShare }
-
-// rate is each in-flight frame's service rate in core-seconds/second.
-func (s *psCompute) rate() float64 {
-	if n := float64(len(s.h)); n > s.cores {
-		return s.cores / n
-	}
-	return 1
-}
-
-// advance moves the virtual clock to wall time t.
-func (s *psCompute) advance(t float64) {
-	if len(s.h) > 0 && t > s.tlast {
-		s.vnow += (t - s.tlast) * s.rate()
-	}
-	s.tlast = t
-}
-
-func (s *psCompute) Start(now float64, id int, work float64) {
-	s.advance(now)
-	s.h.push(psItem{id: id, bytes: work, vfinish: s.vnow + work, seq: s.seq})
-	s.seq++
-}
-
-func (s *psCompute) NextFinish() (float64, bool) {
-	if len(s.h) == 0 {
-		return 0, false
-	}
-	remaining := s.h[0].vfinish - s.vnow
-	if remaining < 0 {
-		remaining = 0 // float drift guard
-	}
-	return s.tlast + remaining/s.rate(), true
-}
-
-func (s *psCompute) Finish() int {
-	t, _ := s.NextFinish()
-	s.advance(t)
-	item := s.h.pop()
-	s.vnow = item.vfinish // pin exactly, absorbing float drift
-	s.served += item.bytes
-	return item.id
-}
-
-func (s *psCompute) InFlight() int        { return len(s.h) }
-func (s *psCompute) ServedBytes() float64 { return s.served }
-
-// setCores resizes the pool at time now, conserving virtual progress:
-// the clock advances at the old rate first, then every in-flight frame
-// continues at the new min(1, cores/n).
-func (s *psCompute) setCores(now float64, cores int) {
-	s.advance(now)
-	s.cores = float64(cores)
-}
-
-// drain removes every in-flight frame in completion order, crediting no
-// served core-seconds.
-func (s *psCompute) drain() []int {
-	ids := make([]int, 0, len(s.h))
-	for len(s.h) > 0 {
-		ids = append(ids, s.h.pop().id)
-	}
-	return ids
 }

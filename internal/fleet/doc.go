@@ -408,17 +408,18 @@
 //     24-byte events whose hold (pop the earliest, push its successor)
 //     costs O(1) amortized — an unsorted top for the far future, rungs
 //     of unsorted buckets each finer than the one above, and a short
-//     sorted bottom run the loop pops from — plus O(log n) fair-share
-//     virtual-time accounting on the link (psHeap) and O(log links)
-//     completion lookup (liHeap). No event is boxed in an interface
-//     (container/heap cost one allocation per Push). An event is its
-//     time, one word packing the scheduling seq over a 4-bit kind, and
-//     two int32 payload words; a frame's capture time and payload live
-//     in its transfer record, created at capture. Buckets are int32
-//     linked lists through one node pool, 28 bytes per pending event
-//     (2.8 MB at 100k). The queue and both heaps preserve
+//     sorted bottom run the loop pops from — plus O(log n) queueing on
+//     the link or core pool and O(log links) completion lookup (liHeap).
+//     Links and pools share two disciplines, fifoServer and psServer
+//     (fair share by virtual time), both over the psHeap. No event is
+//     boxed in an interface (container/heap cost one allocation per
+//     Push). An event is its time, one word packing the scheduling seq
+//     over a 4-bit kind, and two int32 payload words; a frame's capture
+//     time and payload live in its transfer record, created at capture.
+//     Buckets are int32 linked lists through one node pool, 28 bytes
+//     per pending event (2.8 MB at 100k). The queue and both heaps preserve
 //     container/heap's exact pop order, proven differentially by
-//     TestHeapsMatchContainerHeap. The FIFO discipline keeps a
+//     TestHeapsMatchContainerHeap. fifoServer queues waiting jobs in a
 //     power-of-two ring, so wrap-around is a mask, not a modulo.
 //   - Memory model: each camera embeds its random stream by value — an
 //     8-byte splitmix64 state (prng) instead of a *rand.Rand whose

@@ -291,23 +291,6 @@ type DynamicsStats struct {
 	DroppedOutage int64
 }
 
-// capScaler, coreScaler and drainable are the runtime capabilities the
-// dynamics engine needs from links: every uplink contention model
-// rescales capacity with conserved progress, every core pool resizes,
-// and both sides drain their in-flight population deterministically (in
-// completion order, then waiting order) without crediting served bytes.
-type capScaler interface {
-	setCapacity(now, bytesPerSec float64)
-}
-
-type coreScaler interface {
-	setCores(now float64, cores int)
-}
-
-type drainable interface {
-	drain() []int
-}
-
 // dynamics is the live fault-schedule state of one run, created only for
 // a non-empty schedule so every other run bypasses it entirely.
 type dynamics struct {
@@ -444,6 +427,8 @@ func (e *engine) fire(t float64, i int) {
 			dyn.stats.Left++
 		}
 	case DynLinkDegrade:
+		// The link's server (fifoServer or psServer) conserves the
+		// progress of work in service; factor 0 parks it until a restore.
 		ti := dyn.tier[i]
 		dyn.rescale(t, ti, fe.Factor)
 		e.links.setCapacity(ti, t, dyn.baseCap[ti]*fe.Factor)
@@ -483,6 +468,8 @@ func (e *engine) fire(t float64, i int) {
 	case DynFPSProfile:
 		dyn.fpsMul[dyn.class[i]] = fe.Multiplier
 	case DynComputeScale:
+		// A FIFO pool promotes waiting frames onto new cores and never
+		// preempts on a shrink; a fair-share pool re-splits at once.
 		e.links.setCores(e.compLink[dyn.tier[i]], t, fe.Cores)
 	}
 	if fe.EverySec > 0 {

@@ -433,7 +433,7 @@ func TestFIFOQueueBoundedOverLongRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fifo := up.(*fifoUplink)
+	fifo := up.(*fifoServer)
 	now := 0.0
 	const transfers = 200_000
 	for i := 0; i < transfers; i++ {

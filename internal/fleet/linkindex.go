@@ -1,9 +1,10 @@
 package fleet
 
-// linkIndex owns a run's links and is the only code that mutates them:
-// start, finish, drain, setCapacity and setCores each re-index the link
-// they touch and keep the in-flight count, so no call site can forget
-// to. It finds the earliest next completion across the links in
+// linkIndex owns a run's links — every network link and core pool is a
+// server (fifoServer or psServer) — and is the only code that mutates
+// them: start, finish, drain, setCapacity and setCores each re-index the
+// link they touch and keep the in-flight count, so no call site can
+// forget to. It finds the earliest next completion across the links in
 // O(log links) per event. The set is direction-agnostic: uplinks occupy
 // the low indices in tier order, declared downlinks follow, then compute
 // pools, so ties on time resolve uplinks (leaves before the root) ahead
@@ -15,7 +16,7 @@ package fleet
 // ties on time resolve to the lowest link index, matching a plain
 // O(links) scan bit for bit (TestLinkIndexLockstepWithScan).
 type linkIndex struct {
-	links []Link
+	links []server
 	ver   []uint64
 	h     liHeap
 	// inFlight counts transfers resident in any link (one transfer
@@ -86,7 +87,7 @@ func (h *liHeap) pop() liEntry {
 	return e
 }
 
-func newLinkIndex(links []Link) linkIndex {
+func newLinkIndex(links []server) linkIndex {
 	return linkIndex{links: links, ver: make([]uint64, len(links)), finished: make([]int64, len(links))}
 }
 
@@ -116,23 +117,23 @@ func (x *linkIndex) finish(li int) int {
 	return id
 }
 
-// drain empties link li (see drainable) and returns the lost ids.
+// drain empties link li and returns the lost ids.
 func (x *linkIndex) drain(li int) []int {
-	ids := x.links[li].(drainable).drain()
+	ids := x.links[li].drain()
 	x.inFlight -= len(ids)
 	x.invalidate(li)
 	return ids
 }
 
-// setCapacity rescales network link li at time now (see capScaler).
+// setCapacity rescales network link li at time now.
 func (x *linkIndex) setCapacity(li int, now, bytesPerSec float64) {
-	x.links[li].(capScaler).setCapacity(now, bytesPerSec)
+	x.links[li].setCapacity(now, bytesPerSec)
 	x.invalidate(li)
 }
 
-// setCores resizes compute pool li at time now (see coreScaler).
+// setCores resizes compute pool li at time now.
 func (x *linkIndex) setCores(li int, now float64, cores int) {
-	x.links[li].(coreScaler).setCores(now, cores)
+	x.links[li].setCores(now, cores)
 	x.invalidate(li)
 }
 

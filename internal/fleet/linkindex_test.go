@@ -9,7 +9,7 @@ import (
 // scanNextFinish is the O(links) lookup linkIndex replaced, kept as its
 // reference: the earliest NextFinish across links, ties to the lowest
 // link index.
-func scanNextFinish(links []Link) (int, float64, bool) {
+func scanNextFinish(links []server) (int, float64, bool) {
 	li, lt := -1, 0.0
 	for i, l := range links {
 		if t, ok := l.NextFinish(); ok && (li < 0 || t < lt) {
@@ -32,10 +32,10 @@ func TestLinkIndexLockstepWithScan(t *testing.T) {
 	factors := []float64{0, 0.5, 1, 2}
 	for seed := int64(1); seed <= 30; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		var links []Link
+		var links []server
 		for i := 0; i < 3; i++ {
 			for _, model := range []string{ContentionFairShare, ContentionFIFO} {
-				l, err := NewLink(model, caps[rng.Intn(len(caps))])
+				l, err := newLink(model, caps[rng.Intn(len(caps))])
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -558,10 +558,10 @@ func newEngine(sc Scenario) (*engine, error) {
 // buildLinks creates every link in the fixed layout (see engine.links)
 // with its owner table and the tier → link maps.
 func (e *engine) buildLinks() error {
-	links := make([]Link, len(e.nodes))
+	links := make([]server, len(e.nodes))
 	e.owner = make([]int, len(e.nodes))
 	for i, nd := range e.nodes {
-		up, err := NewLink(nd.Uplink.Contention, nd.Uplink.BytesPerSecond())
+		up, err := newLink(nd.Uplink.Contention, nd.Uplink.BytesPerSecond())
 		if err != nil {
 			return err
 		}
@@ -574,7 +574,7 @@ func (e *engine) buildLinks() error {
 		if nd.Downlink == nil {
 			continue
 		}
-		dn, err := NewLink(nd.Downlink.Contention, nd.Downlink.BytesPerSecond())
+		dn, err := newLink(nd.Downlink.Contention, nd.Downlink.BytesPerSecond())
 		if err != nil {
 			return err
 		}

@@ -168,7 +168,7 @@ type collector struct {
 	// Per-link served-byte snapshots at the last window close, so a
 	// window's traffic is the delta. links and linkBps alias the
 	// simulator's live links.
-	links     []Link
+	links     []server
 	linkBps   []float64
 	linkBytes []float64
 
@@ -188,7 +188,7 @@ type collector struct {
 // then compute pools); labels and caps name and size them in the same
 // order. dyn, non-nil only for a run with a fault schedule, adds the
 // per-window availability columns.
-func newCollector(sc *Scenario, links []Link, labels []string, caps []float64, dyn *dynamics) *collector {
+func newCollector(sc *Scenario, links []server, labels []string, caps []float64, dyn *dynamics) *collector {
 	tel := &collector{window: sc.Telemetry.WindowSec}
 	tel.run = make([]*quantile.Sketch, len(sc.Classes))
 	for i := range tel.run {
